@@ -20,6 +20,12 @@ const LOCAL_SIG: u32 = 0x0403_4B50; // PK\x03\x04
 const CENTRAL_SIG: u32 = 0x0201_4B50; // PK\x01\x02
 const EOCD_SIG: u32 = 0x0605_4B50; // PK\x05\x06
 const VERSION: u16 = 20;
+/// Fixed bytes of a local file header, before its name.
+const LOCAL_HEADER_LEN: usize = 30;
+/// Fixed bytes of a central-directory record, before its name.
+const CENTRAL_HEADER_LEN: usize = 46;
+/// Bytes of the end-of-central-directory record (no comment).
+const EOCD_LEN: usize = 22;
 
 /// One file inside an archive.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -63,13 +69,23 @@ impl ZipWriter {
     }
 
     /// Serialise to the ZIP wire format.
+    ///
+    /// One pass over the payloads: each entry's crc is computed once and
+    /// shared by its local header and its central-directory record, and
+    /// the archive is written into a buffer sized up front.
     pub fn finish(self) -> Vec<u8> {
-        let mut out = Vec::new();
-        let mut central = Vec::new();
-        let mut offsets = Vec::with_capacity(self.entries.len());
+        let names: usize = self.entries.iter().map(|e| e.name.len()).sum();
+        let data: usize = self.entries.iter().map(|e| e.data.len()).sum();
+        let size = self.entries.len() * (LOCAL_HEADER_LEN + CENTRAL_HEADER_LEN)
+            + 2 * names
+            + data
+            + EOCD_LEN;
+        let mut out = Vec::with_capacity(size);
+        let mut records = Vec::with_capacity(self.entries.len());
         for e in &self.entries {
-            offsets.push(out.len() as u32);
+            let offset = out.len() as u32;
             let crc = crc32(&e.data);
+            records.push((offset, crc));
             // Local file header.
             put_u32(&mut out, LOCAL_SIG);
             put_u16(&mut out, VERSION); // version needed
@@ -86,29 +102,27 @@ impl ZipWriter {
             out.extend_from_slice(&e.data);
         }
         let central_start = out.len() as u32;
-        for (e, &off) in self.entries.iter().zip(&offsets) {
-            let crc = crc32(&e.data);
-            put_u32(&mut central, CENTRAL_SIG);
-            put_u16(&mut central, VERSION); // version made by
-            put_u16(&mut central, VERSION); // version needed
-            put_u16(&mut central, 0); // flags
-            put_u16(&mut central, 0); // method
-            put_u16(&mut central, 0); // time
-            put_u16(&mut central, 0); // date
-            put_u32(&mut central, crc);
-            put_u32(&mut central, e.data.len() as u32);
-            put_u32(&mut central, e.data.len() as u32);
-            put_u16(&mut central, e.name.len() as u16);
-            put_u16(&mut central, 0); // extra
-            put_u16(&mut central, 0); // comment
-            put_u16(&mut central, 0); // disk number
-            put_u16(&mut central, 0); // internal attrs
-            put_u32(&mut central, 0); // external attrs
-            put_u32(&mut central, off);
-            central.extend_from_slice(e.name.as_bytes());
+        for (e, &(off, crc)) in self.entries.iter().zip(&records) {
+            put_u32(&mut out, CENTRAL_SIG);
+            put_u16(&mut out, VERSION); // version made by
+            put_u16(&mut out, VERSION); // version needed
+            put_u16(&mut out, 0); // flags
+            put_u16(&mut out, 0); // method
+            put_u16(&mut out, 0); // time
+            put_u16(&mut out, 0); // date
+            put_u32(&mut out, crc);
+            put_u32(&mut out, e.data.len() as u32);
+            put_u32(&mut out, e.data.len() as u32);
+            put_u16(&mut out, e.name.len() as u16);
+            put_u16(&mut out, 0); // extra
+            put_u16(&mut out, 0); // comment
+            put_u16(&mut out, 0); // disk number
+            put_u16(&mut out, 0); // internal attrs
+            put_u32(&mut out, 0); // external attrs
+            put_u32(&mut out, off);
+            out.extend_from_slice(e.name.as_bytes());
         }
-        let central_len = central.len() as u32;
-        out.extend_from_slice(&central);
+        let central_len = out.len() as u32 - central_start;
         // End of central directory.
         put_u32(&mut out, EOCD_SIG);
         put_u16(&mut out, 0); // disk
@@ -118,6 +132,7 @@ impl ZipWriter {
         put_u32(&mut out, central_len);
         put_u32(&mut out, central_start);
         put_u16(&mut out, 0); // comment len
+        debug_assert_eq!(out.len(), size, "pre-sized archive length");
         out
     }
 }
@@ -235,11 +250,11 @@ fn read_local(bytes: &[u8], off: usize, name: &str, size: usize) -> Result<Vec<u
 /// Scan backwards for the EOCD signature (the record has a variable-length
 /// trailing comment, so the spec mandates a backwards search).
 fn find_eocd(bytes: &[u8]) -> Result<usize> {
-    if bytes.len() < 22 {
+    if bytes.len() < EOCD_LEN {
         return Err(ApkError::Malformed("too short for a zip".into()));
     }
-    let min = bytes.len().saturating_sub(22 + u16::MAX as usize);
-    let mut i = bytes.len() - 22;
+    let min = bytes.len().saturating_sub(EOCD_LEN + u16::MAX as usize);
+    let mut i = bytes.len() - EOCD_LEN;
     loop {
         if u32::from_le_bytes([bytes[i], bytes[i + 1], bytes[i + 2], bytes[i + 3]]) == EOCD_SIG {
             return Ok(i);

@@ -238,24 +238,17 @@ fn collect_models(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gaugenn_playstore::corpus::{generate, CorpusScale, Snapshot};
+    use gaugenn_playstore::corpus::{generate, CorpusScale, ModelMemo, Snapshot};
     use gaugenn_playstore::crawler::AppMeta;
 
     fn crawl_tiny() -> Vec<CrawledApp> {
         let corpus = generate(CorpusScale::Tiny, Snapshot::Y2021, 7);
-        let pool = corpus.pool.clone();
-        let mut cache: std::collections::BTreeMap<usize, gaugenn_modelfmt::ModelArtifact> =
-            Default::default();
+        let memo = ModelMemo::new(&corpus.pool);
         corpus
             .apps
             .iter()
             .map(|a| {
-                let apk = corpus.build_apk(a, &mut |id| {
-                    cache
-                        .entry(id)
-                        .or_insert_with(|| pool[id].artifact(&pool))
-                        .clone()
-                });
+                let apk = corpus.build_apk(a, &mut |id| memo.get(&corpus.pool, id));
                 CrawledApp {
                     meta: AppMeta {
                         package: a.package.clone(),

@@ -121,22 +121,24 @@ pub fn apply(graph: &Graph, mode: QuantMode) -> Graph {
 
 /// Zero out the `fraction` smallest-magnitude weights of every weighted
 /// layer (magnitude pruning, §6.1). Returns the pruned clone.
+///
+/// The threshold is the `k`-th smallest magnitude, found by linear-time
+/// selection rather than a full sort: it is the same value either way
+/// (ties are equal values, and `abs` folds the signed zeros), so pruned
+/// graphs are bit-identical to the sort-based `reference` kernel.
 pub fn prune_graph(graph: &Graph, fraction: f64) -> Graph {
     let mut g = graph.clone();
     for node in &mut g.nodes {
         let Some(WeightData::F32(w)) = &mut node.weights else {
             continue;
         };
-        if w.is_empty() {
-            continue;
-        }
-        let mut mags: Vec<f32> = w.iter().map(|x| x.abs()).collect();
-        mags.sort_by(|a, b| a.partial_cmp(b).expect("no NaN weights"));
         let k = ((w.len() as f64) * fraction).floor() as usize;
         if k == 0 {
             continue;
         }
-        let threshold = mags[k - 1];
+        let mut mags: Vec<f32> = w.iter().map(|x| x.abs()).collect();
+        let (_, &mut threshold, _) = mags
+            .select_nth_unstable_by(k - 1, |a, b| a.partial_cmp(b).expect("no NaN weights"));
         for x in w.iter_mut() {
             if x.abs() <= threshold {
                 *x = 0.0;
@@ -144,6 +146,39 @@ pub fn prune_graph(graph: &Graph, fraction: f64) -> Graph {
         }
     }
     g
+}
+
+/// The original sort-based pruning threshold, kept so property tests can
+/// pin the selection kernel in [`prune_graph`] against it.
+#[cfg(test)]
+mod reference {
+    use super::{Graph, WeightData};
+
+    /// [`super::prune_graph`] with the threshold read off a full sort.
+    pub fn prune_graph(graph: &Graph, fraction: f64) -> Graph {
+        let mut g = graph.clone();
+        for node in &mut g.nodes {
+            let Some(WeightData::F32(w)) = &mut node.weights else {
+                continue;
+            };
+            if w.is_empty() {
+                continue;
+            }
+            let mut mags: Vec<f32> = w.iter().map(|x| x.abs()).collect();
+            mags.sort_by(|a, b| a.partial_cmp(b).expect("no NaN weights"));
+            let k = ((w.len() as f64) * fraction).floor() as usize;
+            if k == 0 {
+                continue;
+            }
+            let threshold = mags[k - 1];
+            for x in w.iter_mut() {
+                if x.abs() <= threshold {
+                    *x = 0.0;
+                }
+            }
+        }
+        g
+    }
 }
 
 /// Cluster every weighted layer's weights to `k` centroids (weight
@@ -277,6 +312,64 @@ mod tests {
         assert!(frac >= 0.5, "pruned fraction {frac}");
         // The largest weight must have survived.
         assert!(w.to_f32().iter().any(|&x| (x - 0.9).abs() < 1e-6));
+    }
+
+    /// `small_graph` with its dense layer's weights replaced by `w`.
+    fn graph_with_weights(w: Vec<f32>) -> Graph {
+        let mut g = small_graph();
+        g.nodes[1].weights = Some(WeightData::F32(w));
+        g
+    }
+
+    fn weight_bits(g: &Graph) -> Vec<Vec<u32>> {
+        g.nodes
+            .iter()
+            .filter_map(|n| match &n.weights {
+                Some(WeightData::F32(w)) => Some(w.iter().map(|x| x.to_bits()).collect()),
+                _ => None,
+            })
+            .collect()
+    }
+
+    // The selection threshold prunes exactly the weights the sort-based
+    // reference prunes, bit for bit — over random lengths, heavy ties and
+    // duplicates (weights drawn from a small palette), signed zeros, and
+    // every fraction the corpus and experiments use plus the degenerate 0
+    // and 1.
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(512))]
+        #[test]
+        fn prune_selection_matches_sort_reference(
+            draws in proptest::collection::vec((0u8..12, proptest::any::<bool>(), -4.0f32..4.0), 0..700),
+            palette_share in 0u8..=4,
+            frac in 0usize..4,
+        ) {
+            const PALETTE: [f32; 6] = [0.0, 0.0, 0.25, 0.5, 1.0e-3, 2.0];
+            let w: Vec<f32> = draws
+                .iter()
+                .map(|&(sel, neg, x)| {
+                    // `palette_share` in 0..=4 sweeps from all-random to
+                    // all-palette draws, so some cases are nearly all ties.
+                    let v = if (sel % 4) < palette_share { PALETTE[sel as usize % 6] } else { x };
+                    if neg { -v } else { v }
+                })
+                .collect();
+            let fraction = [0.0, 0.0315, 0.5, 1.0][frac];
+            let g = graph_with_weights(w);
+            proptest::prop_assert_eq!(
+                weight_bits(&prune_graph(&g, fraction)),
+                weight_bits(&reference::prune_graph(&g, fraction))
+            );
+        }
+    }
+
+    #[test]
+    fn prune_full_fraction_zeroes_every_weight() {
+        let p = prune_graph(&small_graph(), 1.0);
+        let Some(WeightData::F32(w)) = &p.nodes[1].weights else {
+            panic!("dense weights stay f32");
+        };
+        assert!(w.iter().all(|&x| x.to_bits() == 0));
     }
 
     #[test]

@@ -17,6 +17,8 @@ use gaugenn_modelfmt::{encode, Framework, ModelArtifact};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
+use std::borrow::Cow;
+use std::sync::OnceLock;
 
 /// Which snapshot to generate (§4.1: 14 Feb 2020 / 4 Apr 2021).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -205,6 +207,92 @@ impl UniqueModel {
         let g = self.graph(pool);
         // gaugelint: allow(unwrap-in-fault-path) — provably infallible: pool generation only draws frameworks from the encoder roster
         encode(&g, self.framework).expect("pool frameworks all have encoders")
+    }
+
+    /// The SNPE DLC twin an SNPE app ships beside this model (§6.3:
+    /// apps "deploy both a TFLite and dlc variants of the same model"),
+    /// or `None` when the graph has no DLC encoding.
+    pub fn snpe_twin(&self, pool: &[UniqueModel]) -> Option<ModelArtifact> {
+        encode(&self.graph(pool), Framework::Snpe).ok()
+    }
+}
+
+/// A pool model's bytes as [`StoreCorpus::build_apk`] embeds them.
+///
+/// A bare [`ModelArtifact`] is enough; [`PoolModel`] (via [`ModelMemo`])
+/// also memoises the SNPE twin, so a serving loop builds each model's
+/// bytes once and copies them only into the archive.
+pub trait ModelBytes {
+    /// The model's serialised artifact.
+    fn artifact(&self) -> &ModelArtifact;
+
+    /// The SNPE DLC twin of pool model `id` (see
+    /// [`UniqueModel::snpe_twin`]). The default encodes it afresh.
+    fn snpe_twin(&self, pool: &[UniqueModel], id: usize) -> Option<Cow<'_, ModelArtifact>> {
+        pool[id].snpe_twin(pool).map(Cow::Owned)
+    }
+}
+
+impl ModelBytes for ModelArtifact {
+    fn artifact(&self) -> &ModelArtifact {
+        self
+    }
+}
+
+impl<T: ModelBytes + ?Sized> ModelBytes for &T {
+    fn artifact(&self) -> &ModelArtifact {
+        (**self).artifact()
+    }
+
+    fn snpe_twin(&self, pool: &[UniqueModel], id: usize) -> Option<Cow<'_, ModelArtifact>> {
+        (**self).snpe_twin(pool, id)
+    }
+}
+
+/// One pool model's memoised bytes: the artifact, and the SNPE twin,
+/// built on first use.
+#[derive(Debug)]
+pub struct PoolModel {
+    artifact: ModelArtifact,
+    snpe_twin: OnceLock<Option<ModelArtifact>>,
+}
+
+impl ModelBytes for PoolModel {
+    fn artifact(&self) -> &ModelArtifact {
+        &self.artifact
+    }
+
+    fn snpe_twin(&self, pool: &[UniqueModel], id: usize) -> Option<Cow<'_, ModelArtifact>> {
+        self.snpe_twin
+            .get_or_init(|| pool[id].snpe_twin(pool))
+            .as_ref()
+            .map(Cow::Borrowed)
+    }
+}
+
+/// Per-pool-id memo of [`PoolModel`]s. Model bytes are a pure function
+/// of the pool, so every APK that embeds a model embeds the same bytes —
+/// which is what the §4.5 checksum analysis relies on — and the memo
+/// builds each one once. Lookups are lock-free once a slot is filled.
+#[derive(Debug)]
+pub struct ModelMemo {
+    slots: Vec<OnceLock<PoolModel>>,
+}
+
+impl ModelMemo {
+    /// An empty memo with one slot per model of `pool`.
+    pub fn new(pool: &[UniqueModel]) -> ModelMemo {
+        ModelMemo {
+            slots: (0..pool.len()).map(|_| OnceLock::new()).collect(),
+        }
+    }
+
+    /// Pool model `id`'s bytes, built on first request.
+    pub fn get(&self, pool: &[UniqueModel], id: usize) -> &PoolModel {
+        self.slots[id].get_or_init(|| PoolModel {
+            artifact: pool[id].artifact(pool),
+            snpe_twin: OnceLock::new(),
+        })
     }
 }
 
@@ -728,11 +816,12 @@ impl StoreCorpus {
     }
 
     /// Build the APK for an app (deterministic; models resolved from the
-    /// pool through `artifact_of`, which the server memoises).
-    pub fn build_apk(
+    /// pool through `artifact_of`, which the server answers from a
+    /// [`ModelMemo`]).
+    pub fn build_apk<M: ModelBytes>(
         &self,
         app: &AppSpec,
-        artifact_of: &mut dyn FnMut(usize) -> ModelArtifact,
+        artifact_of: &mut dyn FnMut(usize) -> M,
     ) -> Vec<u8> {
         let mut b = ApkBuilder::new(app.package.clone(), app.version_code);
         b.add_code_string(format!("title:{}", app.title));
@@ -769,8 +858,8 @@ impl StoreCorpus {
                 }
                 let mut used_names: Vec<String> = Vec::new();
                 for (k, &mid) in ml.model_ids.iter().enumerate() {
-                    let art = artifact_of(mid);
-                    for (name, bytes) in &art.files {
+                    let model = artifact_of(mid);
+                    for (name, bytes) in &model.artifact().files {
                         let mut entry = name.clone();
                         if used_names.contains(&entry) {
                             entry = format!("v{k}_{entry}");
@@ -790,8 +879,7 @@ impl StoreCorpus {
                         // SNPE apps "deploy both a TFLite and dlc variants of
                         // the same model" (§6.3) — one dual-format model per
                         // such app.
-                        let g = self.pool[mid].graph(&self.pool);
-                        if let Ok(dlc) = gaugenn_modelfmt::encode(&g, Framework::Snpe) {
+                        if let Some(dlc) = model.snpe_twin(&self.pool, mid) {
                             for (name, bytes) in &dlc.files {
                                 let _ = b.add_asset(&format!("snpe_{name}"), bytes.clone());
                             }
@@ -941,14 +1029,8 @@ mod tests {
             .iter()
             .find(|a| a.ml.as_ref().is_some_and(|m| !m.obfuscated))
             .unwrap();
-        let mut cache = std::collections::BTreeMap::new();
-        let pool = c.pool.clone();
-        let apk_bytes = c.build_apk(app, &mut |id| {
-            cache
-                .entry(id)
-                .or_insert_with(|| pool[id].artifact(&pool))
-                .clone()
-        });
+        let memo = ModelMemo::new(&c.pool);
+        let apk_bytes = c.build_apk(app, &mut |id| memo.get(&c.pool, id));
         let apk = gaugenn_apk::Apk::parse(&apk_bytes).unwrap();
         assert_eq!(apk.package(), app.package);
         let validated = apk
@@ -966,8 +1048,7 @@ mod tests {
             .iter()
             .find(|a| a.ml.as_ref().is_some_and(|m| m.obfuscated))
             .unwrap();
-        let pool = c.pool.clone();
-        let apk_bytes = c.build_apk(app, &mut |id| pool[id].artifact(&pool));
+        let apk_bytes = c.build_apk(app, &mut |id| c.pool[id].artifact(&c.pool));
         let apk = gaugenn_apk::Apk::parse(&apk_bytes).unwrap();
         let validated = apk
             .candidate_files()

@@ -6,7 +6,7 @@
 //! what makes the §4.5 checksum analysis work) without re-encoding.
 
 use crate::chaos::{FaultAction, FaultPlan};
-use crate::corpus::{AppSpec, StoreCorpus};
+use crate::corpus::{AppSpec, ModelMemo, StoreCorpus};
 use crate::net::{Endpoint, SimNet};
 use crate::proto::{
     read_request, write_response, Request, Response, CONNECTION_ID_HEADER, CRC_HEADER,
@@ -19,10 +19,7 @@ use gaugenn_apk::crc32::crc32;
 use gaugenn_apk::bundle::{AssetPack, BundleBuilder, Delivery};
 use gaugenn_apk::obb::{build_obb, ObbKind};
 use gaugenn_index::{wire, CorpusIndex};
-use gaugenn_modelfmt::ModelArtifact;
 use mio::{Parker, SimReactor};
-use parking_lot::Mutex;
-use std::collections::HashMap;
 use std::io::BufReader;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -55,25 +52,31 @@ pub struct ServerOptions {
 
 struct Shared {
     corpus: StoreCorpus,
-    artifact_cache: Mutex<HashMap<usize, Arc<ModelArtifact>>>,
-    requests_served: Mutex<u64>,
+    models: ModelMemo,
+    requests_served: AtomicU64,
     chaos: Option<FaultPlan>,
     index: Option<Arc<CorpusIndex>>,
 }
 
 impl Shared {
-    fn artifact(&self, id: usize) -> Arc<ModelArtifact> {
-        if let Some(a) = self.artifact_cache.lock().get(&id) {
-            return a.clone();
-        }
-        // Build outside the lock: artifact generation is deterministic, so
-        // a rare double-build is harmless.
-        let built = Arc::new(self.corpus.pool[id].artifact(&self.corpus.pool));
-        self.artifact_cache
-            .lock()
-            .entry(id)
-            .or_insert(built)
-            .clone()
+    fn new(
+        corpus: StoreCorpus,
+        chaos: Option<FaultPlan>,
+        index: Option<Arc<CorpusIndex>>,
+    ) -> Arc<Shared> {
+        Arc::new(Shared {
+            models: ModelMemo::new(&corpus.pool),
+            corpus,
+            requests_served: AtomicU64::new(0),
+            chaos,
+            index,
+        })
+    }
+
+    /// The APK body for `app`, its models read from the shared memo.
+    fn apk(&self, app: &AppSpec) -> Vec<u8> {
+        let pool = &self.corpus.pool;
+        self.corpus.build_apk(app, &mut |id| self.models.get(pool, id))
     }
 }
 
@@ -130,13 +133,7 @@ impl StoreServer {
     pub fn start_with(corpus: StoreCorpus, options: ServerOptions) -> Result<StoreServer> {
         let mode = ReactorMode::resolve(options.reactor);
         let stop = Arc::new(AtomicBool::new(false));
-        let shared = Arc::new(Shared {
-            corpus,
-            artifact_cache: Mutex::new(HashMap::new()),
-            requests_served: Mutex::new(0),
-            chaos: options.chaos,
-            index: options.index,
-        });
+        let shared = Shared::new(corpus, options.chaos, options.index);
         match mode {
             ReactorMode::Sim => Ok(Self::start_sim(shared, stop, options.reactor_seed)),
             ReactorMode::Epoll => Self::start_epoll(shared, stop),
@@ -266,7 +263,7 @@ impl StoreServer {
 
     /// Number of requests served so far.
     pub fn requests_served(&self) -> u64 {
-        *self.shared.requests_served.lock()
+        self.shared.requests_served.load(Ordering::SeqCst)
     }
 
     /// The chaos plan, when the server was started with one.
@@ -314,13 +311,7 @@ impl LockstepServer {
     /// ignored (a lockstep server is sim by construction);
     /// `options.reactor_seed`, chaos plan and index apply as usual.
     pub fn start(corpus: StoreCorpus, options: ServerOptions) -> LockstepServer {
-        let shared = Arc::new(Shared {
-            corpus,
-            artifact_cache: Mutex::new(HashMap::new()),
-            requests_served: Mutex::new(0),
-            chaos: options.chaos,
-            index: options.index,
-        });
+        let shared = Shared::new(corpus, options.chaos, options.index);
         let parker = Parker::new();
         let net = SimNet::new(Arc::clone(&parker));
         let reactor = SimReactor::with_parker(options.reactor_seed, parker);
@@ -356,7 +347,7 @@ impl LockstepServer {
 
     /// Number of requests served so far.
     pub fn requests_served(&self) -> u64 {
-        *self.shared.requests_served.lock()
+        self.shared.requests_served.load(Ordering::SeqCst)
     }
 }
 
@@ -377,7 +368,7 @@ fn frame_of(resp: &Response) -> Vec<u8> {
 /// of (corpus, index, chaos plan, request), independent of the loop and
 /// of event interleaving.
 fn serve_request(shared: &Shared, req: &Request) -> Served {
-    *shared.requests_served.lock() += 1;
+    shared.requests_served.fetch_add(1, Ordering::SeqCst);
     let parsed = Route::parse(&req.path);
     let mut resp = match &parsed {
         Some(r) => route(shared, req, r),
@@ -519,8 +510,7 @@ fn route(shared: &Shared, req: &Request, route: &Route) -> Response {
         },
         Route::Apk { package } => match corpus.app(package) {
             Some(app) => {
-                let bytes = corpus.build_apk(app, &mut |id| (*shared.artifact(id)).clone());
-                Response::ok(bytes)
+                Response::ok(shared.apk(app))
             }
             None => Response::not_found(package),
         },
@@ -546,8 +536,7 @@ fn route(shared: &Shared, req: &Request, route: &Route) -> Response {
         },
         Route::Bundle { package } => match corpus.app(package) {
             Some(app) if app.has_bundle => {
-                let base = corpus.build_apk(app, &mut |id| (*shared.artifact(id)).clone());
-                let mut bb = BundleBuilder::new(base);
+                let mut bb = BundleBuilder::new(shared.apk(app));
                 bb.add_pack(AssetPack {
                     name: "hires_textures".into(),
                     delivery: Delivery::OnDemand,

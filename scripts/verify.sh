@@ -1,7 +1,8 @@
 #!/usr/bin/env sh
 # Tier-1 verification: build + full test suite (see ROADMAP.md), the
 # concurrency suite re-run single-threaded (and again under each forced
-# pool scheduling mode), a double-repro persistent-cache determinism
+# pool scheduling mode), the Tiny and Small repro goldens
+# (results/repro_{tiny,small}.txt), a double-repro persistent-cache determinism
 # check, the crash-recovery matrix (SIGKILL at each registered crash
 # point, then --resume must reproduce stdout byte-for-byte), a cache
 # compaction-under-pressure check, the query-serving determinism gate
@@ -51,6 +52,24 @@ verify() {
         -- --test-threads=1 || return 1
     GAUGENN_SCHED=lpt run_cargo "$mode" test -q --test concurrency \
         -- --test-threads=1 || return 1
+    # Report goldens: repro's Tiny and Small stdout must equal the
+    # committed results/repro_{tiny,small}.txt byte for byte, so a change
+    # that moves any table fails here. A golden that moves on purpose is
+    # regenerated with the same command and the move explained in
+    # CHANGES.md. Paper scale (results/repro_paper.txt) stays opt-in:
+    # about 30 s and 4 GB per run.
+    golden_out="target/verify-golden.$$"
+    for scale in tiny small; do
+        run_cargo "$mode" run --release -q -p gaugenn-bench --bin repro \
+            -- --scale "$scale" --seed 1402 --workers 2 --analysis-workers 2 \
+            >"$golden_out.$scale" 2>/dev/null || return 1
+        if ! cmp -s "results/repro_$scale.txt" "$golden_out.$scale"; then
+            echo "verify: repro --scale $scale stdout differs from results/repro_$scale.txt" >&2
+            diff "results/repro_$scale.txt" "$golden_out.$scale" | head -20 >&2
+            return 1
+        fi
+        rm -f "$golden_out.$scale"
+    done
     # Persistent-cache determinism: two back-to-back repro runs against a
     # fresh cache directory must emit byte-identical stdout, and the
     # second must actually attach to the first's persisted analyses.

@@ -382,6 +382,32 @@ proptest! {
 // text (spaces, `&`, `=`, `%`, unicode) must survive the percent-
 // encoding round trip, and numeric filters must come back bit-exact.
 
+/// Every Tiny-scale APK body of both snapshots (corpus seed 1402), built
+/// through `StoreCorpus::build_apk` in corpus order and run through one
+/// streaming crc32, must reproduce the digest recorded before the
+/// store's body path was optimised (selection-based pruning threshold,
+/// single-pass zip assembly, memoised model bytes): the serving path may
+/// get faster, never change a byte.
+#[test]
+fn tiny_apk_bodies_match_recorded_digest() {
+    use gaugenn::apk::crc32::Crc32;
+    use gaugenn::playstore::corpus::{generate, CorpusScale, ModelMemo, Snapshot};
+    let mut digest = Crc32::new();
+    let (mut bodies, mut bytes) = (0usize, 0usize);
+    for snapshot in [Snapshot::Y2020, Snapshot::Y2021] {
+        let corpus = generate(CorpusScale::Tiny, snapshot, 1402);
+        let memo = ModelMemo::new(&corpus.pool);
+        for app in &corpus.apps {
+            let body = corpus.build_apk(app, &mut |id| memo.get(&corpus.pool, id));
+            digest.update(&body);
+            bodies += 1;
+            bytes += body.len();
+        }
+    }
+    assert_eq!((bodies, bytes), (98, 30_267_375), "Tiny body count and size");
+    assert_eq!(format!("{:08x}", digest.finalize()), "12d9a4e8");
+}
+
 /// SplitMix64 step, the file-local seedable generator for route fuzzing.
 fn route_rng(state: &mut u64) -> u64 {
     *state = state.wrapping_add(0x9e3779b97f4a7c15);
