@@ -10,11 +10,10 @@
 //!
 //! `--reactor` pins the store's serving loop *and* the pool's client
 //! transport (sim runs also print their schedule digest on stderr);
-//! `--connections` sets connections-per-worker for pooled crawls. Both
-//! are stdout-invariant — tables never change, only wall time.
-//!
-//! (The pre-flag positional spelling `repro small 1402 8 4` still works
-//! behind a stderr deprecation warning — see `gaugenn_bench::cli`.)
+//! `--connections` sets connections-per-worker for the crawl pool. Both
+//! are stdout-invariant — tables never change, only wall time. Every
+//! option is a flag (see `gaugenn_bench::cli`); a bare positional
+//! argument is a usage error.
 //!
 //! Output is the text form of Tables 1–4, Figs. 4–15 and the §4.2/§4.5/
 //! §6.1 statistics; `EXPERIMENTS.md` records a captured run.

@@ -1,9 +1,7 @@
 //! Shared flag parser for the bench binaries.
 //!
 //! Every bin (`repro`, `poolbench`, `analyzebench`, `crashbench`,
-//! `querybench`) historically grew its own positional-argument
-//! convention (`repro small 1402 8 4`, `crashbench --json tiny`). This
-//! module replaces them with one flag grammar:
+//! `querybench`) shares one flag grammar:
 //!
 //! ```text
 //! --scale tiny|small|paper   corpus scale
@@ -15,12 +13,8 @@
 //! --help                     usage
 //! ```
 //!
-//! Both `--flag value` and `--flag=value` spellings are accepted. The
-//! old positional forms still parse — routed through the deprecated
-//! [`legacy_positional`] helper so gaugelint's `deprecated-api` rule
-//! flags any *new* caller — but print a deprecation warning on stderr.
-//! Warnings go to stderr only: stdout of every bin stays byte-identical
-//! whichever spelling invoked it.
+//! Both `--flag value` and `--flag=value` spellings are accepted. A bare
+//! positional argument is a usage error.
 
 use gaugenn_playstore::corpus::CorpusScale;
 use gaugenn_playstore::reactor::ReactorMode;
@@ -98,21 +92,19 @@ pub struct BenchArgs {
     pub connections: usize,
 }
 
-/// Outcome of [`parse`]: the arguments plus how they were spelled.
+/// Outcome of [`parse`]: the arguments plus whether help was asked for.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Parsed {
     /// The resolved arguments.
     pub args: BenchArgs,
     /// `--help` was requested; the caller should print [`help`] and exit 0.
     pub help: bool,
-    /// At least one positional (deprecated-form) argument was used.
-    pub positional_used: bool,
 }
 
 /// Parse `argv` (program name already stripped) against `spec`.
 ///
-/// Flags win over positionals when both are given. Errors are
-/// human-readable one-liners; callers print them with [`help`] and exit 2.
+/// Errors are human-readable one-liners; callers print them with
+/// [`help`] and exit 2.
 pub fn parse(spec: &ArgSpec, argv: &[String]) -> Result<Parsed, String> {
     let mut flag_scale: Option<CorpusScale> = None;
     let mut flag_seed: Option<u64> = None;
@@ -123,7 +115,6 @@ pub fn parse(spec: &ArgSpec, argv: &[String]) -> Result<Parsed, String> {
     let mut resume = false;
     let mut json = false;
     let mut help = false;
-    let mut positionals: Vec<String> = Vec::new();
 
     let mut i = 0usize;
     while i < argv.len() {
@@ -165,72 +156,25 @@ pub fn parse(spec: &ArgSpec, argv: &[String]) -> Result<Parsed, String> {
             _ if name.starts_with("--") => {
                 return Err(format!("unknown flag '{name}'"));
             }
-            _ => positionals.push(tok.to_string()),
+            _ => return Err(format!("unexpected argument '{tok}' (use --scale/--seed flags)")),
         }
         i += 1;
     }
 
-    let mut args = BenchArgs {
-        scale: spec.default_scale,
-        seed: spec.default_seed,
-        workers: spec.default_workers,
-        analysis_workers: 0,
-        resume,
-        json,
-        reactor: flag_reactor,
-        connections: flag_connections.unwrap_or(spec.default_connections),
-    };
-    let mut pos_analysis: Option<usize> = None;
-    if !positionals.is_empty() {
-        #[allow(deprecated)]
-        // gaugelint: allow(deprecated-api) — the one sanctioned caller: flag parsing still honours the old spelling
-        legacy_positional(spec, &positionals, &mut args, &mut pos_analysis)?;
-    }
-    if let Some(s) = flag_scale {
-        args.scale = s;
-    }
-    if let Some(s) = flag_seed {
-        args.seed = s;
-    }
-    if let Some(w) = flag_workers {
-        args.workers = w;
-    }
-    args.analysis_workers = flag_analysis.or(pos_analysis).unwrap_or(args.workers);
-
+    let workers = flag_workers.unwrap_or(spec.default_workers);
     Ok(Parsed {
-        args,
+        args: BenchArgs {
+            scale: flag_scale.unwrap_or(spec.default_scale),
+            seed: flag_seed.unwrap_or(spec.default_seed),
+            workers,
+            analysis_workers: flag_analysis.unwrap_or(workers),
+            resume,
+            json,
+            reactor: flag_reactor,
+            connections: flag_connections.unwrap_or(spec.default_connections),
+        },
         help,
-        positional_used: !positionals.is_empty(),
     })
-}
-
-/// Parse the pre-flag positional spelling `scale [seed [workers
-/// [analysis_workers]]]` into `args`.
-#[deprecated(note = "positional bench arguments are superseded by --scale/--seed/--workers flags")]
-pub fn legacy_positional(
-    spec: &ArgSpec,
-    positionals: &[String],
-    args: &mut BenchArgs,
-    analysis_workers: &mut Option<usize>,
-) -> Result<(), String> {
-    let max = if spec.takes_workers { 4 } else { 2 };
-    if positionals.len() > max {
-        return Err(format!(
-            "too many positional arguments ({} given, at most {max} accepted)",
-            positionals.len()
-        ));
-    }
-    args.scale = parse_scale(&positionals[0])?;
-    if let Some(s) = positionals.get(1) {
-        args.seed = parse_num("seed", s)?;
-    }
-    if let Some(w) = positionals.get(2) {
-        args.workers = parse_num("workers", w)?;
-    }
-    if let Some(a) = positionals.get(3) {
-        *analysis_workers = Some(parse_num("analysis_workers", a)?);
-    }
-    Ok(())
 }
 
 /// Parse a scale name, preserving the historic error message.
@@ -290,13 +234,11 @@ pub fn help(spec: &ArgSpec) -> String {
         ));
     }
     out.push_str("  --help                    this text\n");
-    out.push_str("\nPositional forms (`scale [seed [workers [analysis_workers]]]`) are\ndeprecated but still accepted, with a warning on stderr.\n");
     out
 }
 
 /// Parse `std::env::args()`, printing help / errors and exiting as
-/// appropriate. The deprecation warning for positional spellings goes to
-/// stderr so stdout stays byte-identical.
+/// appropriate.
 pub fn parse_or_exit(spec: &ArgSpec) -> BenchArgs {
     let argv: Vec<String> = std::env::args().skip(1).collect();
     match parse(spec, &argv) {
@@ -304,13 +246,6 @@ pub fn parse_or_exit(spec: &ArgSpec) -> BenchArgs {
             if parsed.help {
                 print!("{}", help(spec));
                 std::process::exit(0);
-            }
-            if parsed.positional_used {
-                eprintln!(
-                    "warning: positional arguments are deprecated; \
-                     use --scale/--seed/--workers (see {} --help)",
-                    spec.bin
-                );
             }
             parsed.args
         }
@@ -345,7 +280,7 @@ mod tests {
     #[test]
     fn defaults_apply_with_no_arguments() {
         let p = parse(&spec(), &[]).unwrap();
-        assert!(!p.help && !p.positional_used);
+        assert!(!p.help);
         assert_eq!(p.args.scale, CorpusScale::Small);
         assert_eq!(p.args.seed, 1402);
         assert_eq!(p.args.workers, 4);
@@ -365,25 +300,14 @@ mod tests {
         assert_eq!(p.args.workers, 8);
         assert_eq!(p.args.analysis_workers, 8);
         assert!(p.args.resume && p.args.json);
-        assert!(!p.positional_used);
     }
 
     #[test]
-    fn positional_form_still_parses_and_is_marked_deprecated() {
-        let p = parse(&spec(), &argv(&["tiny", "7", "8", "2"])).unwrap();
-        assert!(p.positional_used);
-        assert_eq!(p.args.scale, CorpusScale::Tiny);
-        assert_eq!(p.args.seed, 7);
-        assert_eq!(p.args.workers, 8);
-        assert_eq!(p.args.analysis_workers, 2);
-    }
-
-    #[test]
-    fn flags_win_over_positionals() {
-        let p = parse(&spec(), &argv(&["tiny", "7", "--scale", "paper", "--seed=9"])).unwrap();
-        assert!(p.positional_used);
-        assert_eq!(p.args.scale, CorpusScale::Paper);
-        assert_eq!(p.args.seed, 9);
+    fn bare_positional_is_a_usage_error() {
+        for args in [&["tiny"][..], &["tiny", "7", "8", "2"], &["--scale", "tiny", "7"]] {
+            let err = parse(&spec(), &argv(args)).unwrap_err();
+            assert!(err.contains("unexpected argument"), "{args:?}: {err}");
+        }
     }
 
     #[test]
@@ -446,21 +370,11 @@ mod tests {
     }
 
     #[test]
-    fn positional_arity_is_bounded_by_spec() {
-        let plain = ArgSpec::new("plainbench", "no optional flags");
-        assert!(parse(&plain, &argv(&["tiny", "7"])).is_ok());
-        let err = parse(&plain, &argv(&["tiny", "7", "8"])).unwrap_err();
-        assert!(err.contains("too many positional"), "{err}");
-        let err = parse(&spec(), &argv(&["tiny", "7", "8", "2", "9"])).unwrap_err();
-        assert!(err.contains("too many positional"), "{err}");
-    }
-
-    #[test]
     fn help_flag_is_reported_not_fatal() {
         let p = parse(&spec(), &argv(&["--help"])).unwrap();
         assert!(p.help);
         let text = help(&spec());
-        for needle in ["--scale", "--seed", "--workers", "--resume", "--json", "deprecated"] {
+        for needle in ["--scale", "--seed", "--workers", "--resume", "--json"] {
             assert!(text.contains(needle), "help lacks {needle}");
         }
         let plain_text = help(&ArgSpec::new("plainbench", "no optional flags"));

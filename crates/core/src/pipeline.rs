@@ -39,12 +39,13 @@ pub struct PipelineConfig {
     pub crawler: CrawlerConfig,
     /// Retry/backoff policy for every store request.
     pub retry: RetryPolicy,
-    /// Crawl worker threads. 1 (the default) crawls sequentially; more
-    /// run a sharded [`CrawlPool`] whose merged corpus is byte-identical
-    /// to the sequential crawl at any worker count.
+    /// Crawl worker threads of the [`CrawlPool`] every crawl runs
+    /// through. 1 (the default) is the sequential crawl: one worker walks
+    /// every category on one connection. More shard the categories, and
+    /// the merged corpus is byte-identical at any worker count.
     pub workers: usize,
     /// Store-wide admission control (rate limit + circuit breaker) the
-    /// crawl fleet shares when `workers > 1`.
+    /// crawl fleet shares, at any worker count.
     pub admission: AdmissionConfig,
     /// Run the store under a seeded fault plan (None = clean store).
     /// Transient faults are absorbed by the crawler's retries; permanent
@@ -90,15 +91,15 @@ pub struct PipelineConfig {
     pub index_dir: Option<PathBuf>,
     /// Which serving loop the store runs (`None` = the `GAUGENN_REACTOR`
     /// environment variable, falling back to the platform default).
-    /// A pooled crawl (`workers > 1`) passes the same choice to the
-    /// [`CrawlPool`] as its *client* transport, so `epoll`/`sim` runs
+    /// The crawl passes the same choice to the [`CrawlPool`] as its
+    /// *client* transport, so `epoll`/`sim` runs
     /// are event-driven end to end. Never changes report content — the
     /// crawler reaches a sim store through in-process pipes and a TCP
     /// store through sockets, and the report is byte-identical either
     /// way.
     pub reactor: Option<ReactorMode>,
-    /// Store connections each crawl worker multiplexes (pooled crawls
-    /// only; clamped to a minimum of 1). With a non-threaded
+    /// Store connections each crawl worker multiplexes (clamped to a
+    /// minimum of 1). With a non-threaded
     /// [`Self::reactor`] one worker thread drives all of them as
     /// non-blocking lanes; the threaded baseline walks them
     /// sequentially. Never changes report content.
@@ -192,7 +193,7 @@ impl PipelineConfigBuilder {
         self
     }
 
-    /// Store-wide admission control for pooled crawls.
+    /// Store-wide admission control for the crawl fleet.
     pub fn admission(mut self, admission: AdmissionConfig) -> PipelineConfigBuilder {
         self.config.admission = admission;
         self
@@ -253,15 +254,14 @@ impl PipelineConfigBuilder {
     }
 
     /// Pin the store's serving loop (threaded, epoll or sim) instead of
-    /// resolving it from `GAUGENN_REACTOR`. A pooled crawl runs its
-    /// client connections on the same substrate.
+    /// resolving it from `GAUGENN_REACTOR`. The crawl runs its client
+    /// connections on the same substrate.
     pub fn reactor(mut self, mode: ReactorMode) -> PipelineConfigBuilder {
         self.config.reactor = Some(mode);
         self
     }
 
-    /// Store connections each crawl worker multiplexes (pooled crawls
-    /// only).
+    /// Store connections each crawl worker multiplexes.
     pub fn connections_per_worker(mut self, connections: usize) -> PipelineConfigBuilder {
         self.config.connections_per_worker = connections;
         self
@@ -338,10 +338,11 @@ pub struct PipelineReport {
     pub composition: LayerComposition,
     /// Per-app download failures with their failing stage.
     pub dropouts: Vec<DropOut>,
-    /// Crawl resilience counters (merged across workers when pooled).
+    /// Crawl resilience counters (merged across workers).
     pub crawl_stats: CrawlStats,
-    /// Fleet-wide admission counters (None for sequential crawls, which
-    /// run without an admission controller).
+    /// Fleet-wide admission counters. `Some` for every live crawl, one
+    /// worker included; `None` only when the whole crawl was replayed
+    /// from the run journal ([`Self::crawl_replayed`]).
     pub admission: Option<AdmissionStats>,
     /// Crawl workers used.
     pub workers: usize,
@@ -405,8 +406,8 @@ impl PipelineReport {
         t
     }
 
-    /// One-line crawl resilience summary (pool stats included when the
-    /// crawl ran sharded).
+    /// One-line crawl resilience summary (admission counters included
+    /// unless the crawl was replayed from the journal).
     pub fn crawl_summary(&self) -> String {
         let s = &self.crawl_stats;
         let mut line = format!(
@@ -582,35 +583,26 @@ impl Pipeline {
             // without touching the store.
             (outcome, None, self.config.workers)
         } else {
-            let resume_cache = run_journal
+            // Every live crawl runs through the pool; one worker is the
+            // sequential crawl.
+            let resume = run_journal
                 .as_ref()
                 .map(|j| Arc::new(j.resume_apps()))
                 .filter(|r| !r.is_empty());
-            if self.config.workers > 1 {
-                let pooled = CrawlPool::new(CrawlPoolConfig {
-                    workers: self.config.workers,
-                    crawler: self.config.crawler.clone(),
-                    retry: self.config.retry.clone(),
-                    admission: self.config.admission.clone(),
-                    sched: self.config.sched,
-                    sched_seed: self.config.seed,
-                    size_hints: self.config.crawl_size_hints.clone(),
-                    resume: resume_cache,
-                    connections_per_worker: self.config.connections_per_worker,
-                    reactor: self.config.reactor,
-                })
-                .crawl_at(&server.endpoint())?;
-                (pooled.outcome, Some(pooled.admission), pooled.workers)
-            } else {
-                let mut builder = Crawler::builder_at(server.endpoint())
-                    .config(self.config.crawler.clone())
-                    .retry(self.config.retry.clone());
-                if let Some(resume) = resume_cache {
-                    builder = builder.resume_cache(resume);
-                }
-                let mut crawler = builder.build()?;
-                (crawler.crawl_all()?, None, 1)
-            }
+            let pooled = CrawlPool::new(CrawlPoolConfig {
+                workers: self.config.workers,
+                crawler: self.config.crawler.clone(),
+                retry: self.config.retry.clone(),
+                admission: self.config.admission.clone(),
+                sched: self.config.sched,
+                sched_seed: self.config.seed,
+                size_hints: self.config.crawl_size_hints.clone(),
+                resume,
+                connections_per_worker: self.config.connections_per_worker,
+                reactor: self.config.reactor,
+            })
+            .crawl_at(&server.endpoint())?;
+            (pooled.outcome, Some(pooled.admission), pooled.workers)
         };
         // Make the whole crawl durable before analysis starts; after the
         // post-crawl boundary a resumed run never re-crawls.
@@ -826,7 +818,8 @@ mod tests {
         assert_eq!(sums_p, sums_s, "same models in the same order");
         let adm = pooled.admission.expect("pooled runs carry admission stats");
         assert_eq!(adm.admitted, pooled.crawl_stats.requests);
-        assert!(sequential.admission.is_none());
+        let adm = sequential.admission.expect("one-worker crawls run the pool too");
+        assert_eq!(adm.admitted, sequential.crawl_stats.requests);
     }
 
     #[test]

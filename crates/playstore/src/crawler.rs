@@ -4,7 +4,10 @@
 //! category), fetches metadata, the base APK, companion OBB files and the
 //! bundle form when advertised — "gaugeNN supports file extraction from
 //! i) the base apk, ii) expansion files (OBBs) and iii) Android App
-//! Bundles".
+//! Bundles". That walk is written once, as the pull-driven
+//! `CrawlLaneJob`; a [`Crawler`] is its blocking driver (one keep-alive
+//! connection, one request at a time) and the non-blocking lanes of
+//! [`crate::reactor_client`] are the other.
 //!
 //! The crawler is built to survive a hostile store: every request runs
 //! under a [`RetryPolicy`] (exponential backoff, deterministic jitter
@@ -41,6 +44,7 @@ use crate::proto::{
     read_response_resumable, write_request, ReadOutcome, Response, CONNECTION_ID_HEADER,
     CRC_HEADER, FULL_CRC_HEADER, RANGE_START_HEADER,
 };
+use crate::reactor_client::{flatten_shards, CrawlLaneJob, LaneJob};
 use crate::route::Route;
 use crate::{Result, StoreError};
 use gaugenn_apk::crc32::crc32;
@@ -672,7 +676,6 @@ pub struct CrawlerBuilder {
     read_timeout: Duration,
     connection_id: u64,
     admission: Option<Arc<AdmissionController>>,
-    resume: Option<Arc<BTreeMap<String, CrawledApp>>>,
 }
 
 impl CrawlerBuilder {
@@ -685,7 +688,6 @@ impl CrawlerBuilder {
             read_timeout: Duration::from_secs(2),
             connection_id: 0,
             admission: None,
-            resume: None,
         }
     }
 
@@ -730,16 +732,6 @@ impl CrawlerBuilder {
         self
     }
 
-    /// Resume cache: apps a replayed crash journal already holds, keyed
-    /// by package. A listed package found here is served from the cache
-    /// — no metadata, APK, OBB or bundle requests — and counted in
-    /// [`CrawlStats::journal_restores`]. The corpus order is unchanged
-    /// because the listing itself still drives iteration.
-    pub fn resume_cache(mut self, cache: Arc<BTreeMap<String, CrawledApp>>) -> CrawlerBuilder {
-        self.resume = Some(cache);
-        self
-    }
-
     /// Dial the store and hand back a ready crawler.
     pub fn build(self) -> Result<Crawler> {
         let mut c = Crawler {
@@ -750,7 +742,6 @@ impl CrawlerBuilder {
             read_timeout: self.read_timeout,
             connection_id: self.connection_id,
             admission: self.admission,
-            resume: self.resume,
             conn: None,
             stats: CrawlStats::default(),
         };
@@ -769,7 +760,6 @@ pub struct Crawler {
     read_timeout: Duration,
     connection_id: u64,
     admission: Option<Arc<AdmissionController>>,
-    resume: Option<Arc<BTreeMap<String, CrawledApp>>>,
     conn: Option<Conn>,
     stats: CrawlStats,
 }
@@ -842,26 +832,18 @@ impl Crawler {
         Ok(outcome)
     }
 
-    /// Issue one request with retries; only a 200 comes back `Ok`.
-    fn request(&mut self, route: &Route) -> Result<Response> {
-        self.request_inner(route, false)
-    }
-
     /// Issue one typed request and return the raw response. The public
     /// face of the request machinery for non-crawl clients (the query
     /// client builds on it): same retry/backoff, integrity checking and
-    /// typed errors as the crawl loop.
+    /// typed errors as the crawl walk.
     pub fn fetch(&mut self, route: &Route) -> Result<Response> {
-        self.request(route)
+        self.request_inner(route, false)
     }
 
-    /// Like [`Crawler::request`] but keeping truncated body prefixes and
-    /// resuming them with range requests — for the large binary payloads
-    /// (APKs, OBBs, bundles).
-    fn request_resumable(&mut self, route: &Route) -> Result<Response> {
-        self.request_inner(route, true)
-    }
-
+    /// Issue one request with retries; only a 200 comes back `Ok`. A
+    /// `resumable` request keeps truncated body prefixes and resumes them
+    /// with range requests — for the large binary payloads (APKs, OBBs,
+    /// bundles).
     fn request_inner(&mut self, route: &Route, resumable: bool) -> Result<Response> {
         let mut sm = RequestSm::new(route, resumable, self.retry.max_attempts);
         loop {
@@ -914,7 +896,7 @@ impl Crawler {
 
     /// List all store categories.
     pub fn categories(&mut self) -> Result<Vec<String>> {
-        let resp = self.request(&Route::Categories)?;
+        let resp = self.fetch(&Route::Categories)?;
         Ok(parse_listing(&resp.text()))
     }
 
@@ -929,7 +911,7 @@ impl Crawler {
                 start,
                 count: self.config.page_size,
             };
-            let resp = self.request(&route)?;
+            let resp = self.fetch(&route)?;
             let page = parse_listing(&resp.text());
             if page.is_empty() {
                 break;
@@ -947,7 +929,7 @@ impl Crawler {
     /// Fetch and parse one app's metadata. Malformed numeric fields are a
     /// typed [`StoreError::Protocol`] — never silently coerced to zero.
     pub fn app_meta(&mut self, package: &str) -> Result<AppMeta> {
-        let resp = self.request(&Route::App {
+        let resp = self.fetch(&Route::App {
             package: package.to_string(),
         })?;
         parse_app_meta(&resp.text())
@@ -956,104 +938,40 @@ impl Crawler {
     /// Download the base APK (range-resuming truncated transfers).
     pub fn download_apk(&mut self, package: &str) -> Result<Vec<u8>> {
         Ok(self
-            .request_resumable(&Route::Apk {
-                package: package.to_string(),
-            })?
+            .request_inner(
+                &Route::Apk {
+                    package: package.to_string(),
+                },
+                true,
+            )?
             .body)
     }
 
-    /// Download everything for one app, honouring its OBB/bundle flags.
-    pub fn crawl_app(&mut self, package: &str) -> Result<CrawledApp> {
-        self.crawl_app_staged(package).map_err(|(_, e)| e)
+    /// Drive one [`LaneJob`] to completion on this connection: the
+    /// blocking driver of the job protocol [`drive_lanes`] runs over
+    /// non-blocking lanes. Each route goes through the same retry,
+    /// admission and range-resume machinery, one at a time, so a job
+    /// makes the same request sequence (and counts the same
+    /// [`CrawlStats`]) under either driver on the same connection id.
+    ///
+    /// [`drive_lanes`]: crate::reactor_client::drive_lanes
+    pub(crate) fn run_job<J: LaneJob>(&mut self, job: &mut J) {
+        while let Some((route, resumable)) = job.next_request(&mut self.stats) {
+            let result = self.request_inner(&route, resumable);
+            job.on_result(result);
+        }
     }
 
-    /// Like [`Crawler::crawl_app`], but tagging the failing stage so
-    /// drop-outs can be attributed (meta vs apk vs obb vs bundle).
-    fn crawl_app_staged(
-        &mut self,
-        package: &str,
-    ) -> std::result::Result<CrawledApp, (CrawlStage, StoreError)> {
-        if let Some(app) = self.resume.as_ref().and_then(|r| r.get(package)) {
-            let app = app.clone();
-            self.stats.journal_restores += 1;
-            return Ok(app);
-        }
-        let meta = self
-            .app_meta(package)
-            .map_err(|e| (CrawlStage::Meta, e))?;
-        let apk = self
-            .download_apk(package)
-            .map_err(|e| (CrawlStage::Apk, e))?;
-        let mut obbs = Vec::new();
-        if meta.has_obb {
-            let resp = self
-                .request_resumable(&Route::Obb {
-                    package: package.to_string(),
-                })
-                .map_err(|e| (CrawlStage::Obb, e))?;
-            obbs.push(obb_entry(resp, package, meta.version_code));
-        }
-        let bundle = if meta.has_bundle {
-            Some(
-                self.request_resumable(&Route::Bundle {
-                    package: package.to_string(),
-                })
-                .map_err(|e| (CrawlStage::Bundle, e))?
-                .body,
-            )
-        } else {
-            None
-        };
-        Ok(CrawledApp {
-            meta,
-            apk,
-            obbs,
-            bundle,
-        })
-    }
-
-    /// Crawl one category end to end: the listing plus every listed app.
-    /// Failures become [`DropOut`] records, not errors — the building
-    /// block of both [`Crawler::crawl_all`] and the pool's shards.
-    pub fn crawl_category(&mut self, category: &str) -> (Vec<CrawledApp>, Vec<DropOut>) {
-        let mut apps = Vec::new();
-        let mut dropouts = Vec::new();
-        let pkgs = match self.list_category(category) {
-            Ok(p) => p,
-            Err(e) => {
-                dropouts.push(DropOut {
-                    package: format!("category:{category}"),
-                    stage: CrawlStage::Listing,
-                    error: e.to_string(),
-                });
-                return (apps, dropouts);
-            }
-        };
-        for pkg in pkgs {
-            match self.crawl_app_staged(&pkg) {
-                Ok(app) => apps.push(app),
-                Err((stage, e)) => dropouts.push(DropOut {
-                    package: pkg,
-                    stage,
-                    error: e.to_string(),
-                }),
-            }
-        }
-        (apps, dropouts)
-    }
-
-    /// Full store sweep: every category, every listed app. Apps (and
-    /// category listings) that keep failing after retries become
-    /// [`DropOut`] records instead of aborting the sweep; only a failure
-    /// to enumerate the categories themselves is fatal.
+    /// Full store sweep: every category, every listed app, walked by one
+    /// `CrawlLaneJob` on this connection. Apps (and category listings)
+    /// that keep failing after retries become [`DropOut`] records instead
+    /// of aborting the sweep; only a failure to enumerate the categories
+    /// themselves is fatal.
     pub fn crawl_all(&mut self) -> Result<CrawlOutcome> {
-        let mut apps = Vec::new();
-        let mut dropouts = Vec::new();
-        for cat in self.categories()? {
-            let (a, d) = self.crawl_category(&cat);
-            apps.extend(a);
-            dropouts.extend(d);
-        }
+        let categories = self.categories()?.into_iter().enumerate().collect();
+        let mut job = CrawlLaneJob::new(categories, self.config.page_size, None);
+        self.run_job(&mut job);
+        let (apps, dropouts) = flatten_shards(job.into_shards());
         Ok(CrawlOutcome {
             apps,
             dropouts,

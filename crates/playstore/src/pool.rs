@@ -1,10 +1,14 @@
 //! Sharded concurrent crawl pool.
 //!
 //! A [`CrawlPool`] partitions the store's category space across N worker
-//! threads. Each worker owns a private [`Crawler`] (its own connection,
-//! its own connection id, its own retry/backoff jitter stream). Which
-//! worker crawls which category is decided **before any worker thread
-//! starts** by the shared deterministic scheduler in [`gaugenn_sched`]:
+//! threads. Each worker owns its own connections (its own connection
+//! ids, its own retry/backoff jitter streams) and walks its categories
+//! with one `CrawlLaneJob` per connection — the crate's one crawl walk
+//! — driven either by a blocking [`Crawler`] or by non-blocking reactor
+//! lanes ([`CrawlPoolConfig::reactor`]). One worker is the sequential
+//! crawl. Which worker crawls which category is decided **before any
+//! worker thread starts** by the shared deterministic scheduler in
+//! [`gaugenn_sched`]:
 //!
 //! * [`SchedMode::Static`] reproduces the original `index % workers`
 //!   partition;
@@ -20,7 +24,9 @@
 //! caller has real byte counts (e.g. the previous snapshot's crawl of the
 //! same store), otherwise from a bootstrap probe that lists each category
 //! once on connection 0 and uses the listed app count as the catalog size
-//! estimate.
+//! estimate. A one-worker pool skips the probe: that worker takes every
+//! category whatever the sizes, so it sends exactly the requests of
+//! [`Crawler::crawl_all`].
 //!
 //! All workers share one [`AdmissionController`]: the fleet collectively
 //! respects a single store-wide rate limit, and a sustained 429/503 storm
@@ -51,10 +57,12 @@
 //! reports are explicitly diagnostic.
 
 use crate::admission::{AdmissionConfig, AdmissionController, AdmissionStats};
-use crate::crawler::{CrawlOutcome, CrawlStats, CrawledApp, Crawler, CrawlerConfig, DropOut, RetryPolicy};
+use crate::crawler::{CrawlOutcome, CrawlStats, CrawledApp, Crawler, CrawlerConfig, RetryPolicy};
 use crate::net::Endpoint;
 use crate::reactor::ReactorMode;
-use crate::reactor_client::{drive_lanes, CrawlLaneJob, LaneOpts, LaneSpec};
+use crate::reactor_client::{
+    drive_lanes, flatten_shards, CrawlLaneJob, LaneOpts, LaneShard, LaneSpec,
+};
 use crate::Result;
 use gaugenn_sched::{assign, SchedMode, WorkUnit};
 use std::collections::BTreeMap;
@@ -84,8 +92,11 @@ pub struct CrawlPoolConfig {
     /// once on the bootstrap connection and uses the app count instead.
     pub size_hints: Option<BTreeMap<String, u64>>,
     /// Resume cache shared by every worker: apps a replayed crash
-    /// journal already holds (see
-    /// [`crate::crawler::CrawlerBuilder::resume_cache`]).
+    /// journal already holds, keyed by package. Every lane's
+    /// `CrawlLaneJob` serves a listed package found here from the cache
+    /// — no metadata, APK, OBB or bundle requests — and counts it in
+    /// [`CrawlStats::journal_restores`]. The corpus order is unchanged
+    /// because the listing still drives iteration.
     pub resume: Option<Arc<BTreeMap<String, CrawledApp>>>,
     /// Connections each worker multiplexes (clamped to a minimum of 1).
     /// With the threaded client this many blocking connections are
@@ -173,29 +184,29 @@ pub struct PoolOutcome {
     pub peak_in_flight: usize,
 }
 
-/// One worker's crawl of one category, tagged with the category's global
-/// index so shards merge deterministically.
-struct CategoryShard {
-    index: usize,
-    apps: Vec<CrawledApp>,
-    dropouts: Vec<DropOut>,
-}
-
 /// What one worker hands back to the merge: its shards, its summed
 /// connection stats (lane order), and the most connections it held in
 /// flight at once.
-type WorkerYield = (Vec<CategoryShard>, CrawlStats, usize);
+type WorkerYield = (Vec<LaneShard>, CrawlStats, usize);
 
 /// Split one worker's shard across its connections round-robin (lane `j`
 /// takes positions `j, j+C, …`), preserving ascending category-index
-/// order within each lane so every lane walks its categories the way a
-/// dedicated blocking crawler would.
+/// order within each lane.
 fn lane_split(shard: &[usize], lanes: usize) -> Vec<Vec<usize>> {
     let mut out = vec![Vec::new(); lanes];
     for (pos, &idx) in shard.iter().enumerate() {
         out[pos % lanes].push(idx);
     }
     out
+}
+
+/// The crawl walk over one lane's categories, whichever driver runs it.
+fn lane_job(config: &CrawlPoolConfig, categories: &[String], lane: &[usize]) -> CrawlLaneJob {
+    CrawlLaneJob::new(
+        lane.iter().map(|&i| (i, categories[i].clone())).collect(),
+        config.crawler.page_size,
+        config.resume.clone(),
+    )
 }
 
 /// The blocking client: drive this worker's lanes *sequentially*, one
@@ -220,26 +231,18 @@ fn crawl_shard_blocking(
         if conns > 1 && lane.is_empty() {
             continue;
         }
-        let mut builder = Crawler::builder_at(endpoint.clone())
+        let mut crawler = Crawler::builder_at(endpoint.clone())
             .config(config.crawler.clone())
             .retry(config.retry.clone())
             .connection_id((w * conns + j) as u64 + 1)
-            .admission(Arc::clone(admission));
-        if let Some(resume) = &config.resume {
-            builder = builder.resume_cache(Arc::clone(resume));
-        }
-        let mut crawler = builder.build()?;
+            .admission(Arc::clone(admission))
+            .build()?;
         if !lane.is_empty() {
             active = 1;
         }
-        for &index in lane {
-            let (apps, dropouts) = crawler.crawl_category(&categories[index]);
-            shards.push(CategoryShard {
-                index,
-                apps,
-                dropouts,
-            });
-        }
+        let mut job = lane_job(config, categories, lane);
+        crawler.run_job(&mut job);
+        shards.extend(job.into_shards());
         stats.merge(crawler.stats());
     }
     Ok((shards, stats, active))
@@ -263,11 +266,7 @@ fn crawl_shard_lanes(
         .map(|(j, lane)| LaneSpec {
             connection_id: (w * conns + j) as u64 + 1,
             retry: config.retry.clone(),
-            job: CrawlLaneJob::new(
-                lane.iter().map(|&i| (i, categories[i].clone())).collect(),
-                config.crawler.page_size,
-                config.resume.clone(),
-            ),
+            job: lane_job(config, categories, lane),
         })
         .collect();
     let opts = LaneOpts {
@@ -281,13 +280,7 @@ fn crawl_shard_lanes(
     let mut stats = CrawlStats::default();
     for o in outcomes {
         stats.merge(&o.stats);
-        for s in o.job.into_shards() {
-            shards.push(CategoryShard {
-                index: s.index,
-                apps: s.apps,
-                dropouts: s.dropouts,
-            });
-        }
+        shards.extend(o.job.into_shards());
     }
     Ok((shards, stats, report.peak_in_flight))
 }
@@ -311,11 +304,16 @@ impl CrawlPool {
     }
 
     /// Size estimates for the category units: caller-provided byte hints
-    /// when available, otherwise (for size-aware modes) a listing probe on
-    /// the bootstrap connection counting each category's apps. A probe
-    /// failure estimates 1 — the worker assigned the category will record
-    /// the real drop-out itself.
-    fn size_units(&self, bootstrap: &mut Crawler, categories: &[String]) -> Vec<WorkUnit> {
+    /// when available, otherwise (for size-aware modes with more than one
+    /// worker) a listing probe on the bootstrap connection counting each
+    /// category's apps. A probe failure estimates 1 — the worker assigned
+    /// the category will record the real drop-out itself.
+    fn size_units(
+        &self,
+        bootstrap: &mut Crawler,
+        categories: &[String],
+        workers: usize,
+    ) -> Vec<WorkUnit> {
         categories
             .iter()
             .enumerate()
@@ -323,6 +321,7 @@ impl CrawlPool {
                 let size = match (&self.config.size_hints, self.config.sched) {
                     (Some(hints), _) => hints.get(cat).copied().unwrap_or(1),
                     (None, SchedMode::Static) => 0, // unused by the static partition
+                    (None, _) if workers <= 1 => 0, // one worker takes every category
                     (None, _) => bootstrap
                         .list_category(cat)
                         .map(|apps| apps.len() as u64)
@@ -386,7 +385,7 @@ impl CrawlPool {
             .admission(admission.clone())
             .build()?;
         let categories = bootstrap.categories()?;
-        let units = self.size_units(&mut bootstrap, &categories);
+        let units = self.size_units(&mut bootstrap, &categories, workers);
         let bootstrap_stats = bootstrap.stats().clone();
         drop(bootstrap);
 
@@ -429,7 +428,7 @@ impl CrawlPool {
         // category-index order for the corpus itself.
         let mut per_worker = Vec::with_capacity(workers);
         let mut merged_stats = bootstrap_stats;
-        let mut all_shards: Vec<CategoryShard> = Vec::with_capacity(categories.len());
+        let mut all_shards: Vec<LaneShard> = Vec::with_capacity(categories.len());
         let mut peak_in_flight = 0usize;
         for (w, res) in results.drain(..).enumerate() {
             let (worker_shards, stats, worker_peak) = res?;
@@ -450,13 +449,7 @@ impl CrawlPool {
             all_shards.extend(worker_shards);
         }
         all_shards.sort_by_key(|s| s.index);
-
-        let mut apps = Vec::new();
-        let mut dropouts = Vec::new();
-        for shard in all_shards {
-            apps.extend(shard.apps);
-            dropouts.extend(shard.dropouts);
-        }
+        let (apps, dropouts) = flatten_shards(all_shards);
 
         Ok(PoolOutcome {
             outcome: CrawlOutcome {
@@ -498,19 +491,26 @@ mod tests {
         let mut seq = Crawler::builder(server.addr()).build().unwrap();
         let sequential = seq.crawl_all().unwrap();
 
-        let pooled = CrawlPool::new(CrawlPoolConfig {
-            workers: 4,
-            ..CrawlPoolConfig::default()
-        })
-        .crawl(server.addr())
-        .unwrap();
+        for workers in [1usize, 4] {
+            let pooled = CrawlPool::new(CrawlPoolConfig {
+                workers,
+                ..CrawlPoolConfig::default()
+            })
+            .crawl(server.addr())
+            .unwrap();
 
-        assert_eq!(pooled.workers, 4);
-        assert_eq!(pooled.outcome.apps, sequential.apps, "same corpus, same order");
-        assert_eq!(pooled.outcome.dropouts, sequential.dropouts);
-        assert_eq!(pooled.per_worker.len(), 4);
-        let shard_apps: usize = pooled.per_worker.iter().map(|w| w.apps).sum();
-        assert_eq!(shard_apps, pooled.outcome.apps.len());
+            assert_eq!(pooled.workers, workers);
+            assert_eq!(pooled.outcome.apps, sequential.apps, "same corpus, same order");
+            assert_eq!(pooled.outcome.dropouts, sequential.dropouts);
+            assert_eq!(pooled.per_worker.len(), workers);
+            let shard_apps: usize = pooled.per_worker.iter().map(|w| w.apps).sum();
+            assert_eq!(shard_apps, pooled.outcome.apps.len());
+            if workers == 1 {
+                // No listing probe: one worker sends exactly the
+                // sequential walk's requests.
+                assert_eq!(pooled.outcome.stats.requests, sequential.stats.requests);
+            }
+        }
     }
 
     #[test]

@@ -19,10 +19,13 @@
 //! blocking parser by [`crate::proto::finish_response_frame`] (same
 //! outcomes, same error strings, byte for byte), and every retry,
 //! backoff draw, admission charge and counter bump goes through the one
-//! shared `RequestSm`. A lane therefore produces the same
-//! [`CrawlStats`] on the same `(connection id, route)` history as a
-//! blocking crawler would — which is what lets the pool swap transports
-//! without changing a single merged byte.
+//! shared `RequestSm`. The walk is shared too: what a lane fetches is a
+//! [`LaneJob`], and the crawl walk [`CrawlLaneJob`] is the same job the
+//! blocking crawler drives one request at a time (`Crawler::run_job`).
+//! A lane therefore produces the same [`CrawlStats`] on the same
+//! `(connection id, route)` history as a blocking crawler would — which
+//! is what lets the pool swap transports without changing a single
+//! merged byte.
 //!
 //! Delays never block the driver: with [`RetryPolicy::real_sleep`] off
 //! (the default) backoff/throttle charges are accounted on the logical
@@ -124,6 +127,18 @@ pub(crate) struct LaneShard {
     pub(crate) dropouts: Vec<DropOut>,
 }
 
+/// Concatenate shards, in the order given, into one corpus and one
+/// drop-out ledger.
+pub(crate) fn flatten_shards(shards: Vec<LaneShard>) -> (Vec<CrawledApp>, Vec<DropOut>) {
+    let mut apps = Vec::new();
+    let mut dropouts = Vec::new();
+    for shard in shards {
+        apps.extend(shard.apps);
+        dropouts.extend(shard.dropouts);
+    }
+    (apps, dropouts)
+}
+
 /// Where a [`CrawlLaneJob`] is in its category walk. `Await*` variants
 /// mark an outstanding request (only [`LaneJob::on_result`] may run);
 /// the rest are actions [`LaneJob::next_request`] steps through.
@@ -172,13 +187,14 @@ enum CrawlJobState {
     Done,
 }
 
-/// A crawl plan for one lane: walk the assigned categories exactly the
-/// way [`crate::crawler::Crawler::crawl_category`] does — page the
+/// The crate's one crawl walk (§3.1): page each assigned category's
 /// listing to the 500 cap, then metadata → APK → OBB → bundle per listed
 /// app, resume-cache hits served without network requests, permanent
-/// failures recorded as [`DropOut`]s — but expressed as a pull-driven
-/// job so the request sequence (and therefore every counter and fault
-/// draw) is identical to the blocking walk on the same connection id.
+/// failures recorded as [`DropOut`]s. It is a pull-driven job with two
+/// drivers — a blocking [`crate::crawler::Crawler`] (`run_job`) and the
+/// non-blocking lanes of [`drive_lanes`] — so the request sequence (and
+/// therefore every counter and fault draw) depends only on the
+/// connection id, never on the driver.
 pub(crate) struct CrawlLaneJob {
     /// `(global plan index, category name)` in crawl order.
     cats: Vec<(usize, String)>,
@@ -1246,8 +1262,9 @@ mod tests {
         }
     }
 
-    /// The crawl job on a lane must replay the blocking walk exactly:
-    /// same apps, same dropouts, same counters, calm or chaotic.
+    /// One crawl walk, two drivers: the same `CrawlLaneJob` run through
+    /// the blocking crawler and through a non-blocking lane must produce
+    /// the same apps, dropouts and counters, calm or chaotic.
     fn assert_lane_matches_blocking(chaos: Option<FaultPlanConfig>) {
         let plan = chaos.clone().map(FaultPlan::new);
         let server = sim_server(plan);
@@ -1257,17 +1274,20 @@ mod tests {
             .unwrap()
             .categories()
             .unwrap();
-        let assigned: Vec<(usize, String)> = cats.iter().cloned().enumerate().collect();
+        let job = || {
+            let assigned = cats.iter().cloned().enumerate().collect();
+            CrawlLaneJob::new(assigned, CrawlerConfig::default().page_size, None)
+        };
 
         let specs = vec![LaneSpec {
             connection_id: 1,
             retry: RetryPolicy::default(),
-            job: CrawlLaneJob::new(assigned, CrawlerConfig::default().page_size, None),
+            job: job(),
         }];
         let (mut outcomes, _) =
             drive_lanes(&server.endpoint(), specs, &LaneOpts::default(), None).unwrap();
         let lane = outcomes.remove(0);
-        let shards = lane.job.into_shards();
+        let got = flatten_shards(lane.job.into_shards());
 
         let plan = chaos.map(FaultPlan::new);
         let server2 = sim_server(plan);
@@ -1275,18 +1295,9 @@ mod tests {
             .connection_id(1)
             .build()
             .unwrap();
-        let mut want_apps = Vec::new();
-        let mut want_drops = Vec::new();
-        for cat in &cats {
-            let (a, d) = blocking.crawl_category(cat);
-            want_apps.extend(a);
-            want_drops.extend(d);
-        }
-
-        let got_apps: Vec<_> = shards.iter().flat_map(|s| s.apps.clone()).collect();
-        let got_drops: Vec<_> = shards.iter().flat_map(|s| s.dropouts.clone()).collect();
-        assert_eq!(got_apps, want_apps);
-        assert_eq!(got_drops, want_drops);
+        let mut walk = job();
+        blocking.run_job(&mut walk);
+        assert_eq!(got, flatten_shards(walk.into_shards()));
         assert_eq!(&lane.stats, blocking.stats());
     }
 
