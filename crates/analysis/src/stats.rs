@@ -200,28 +200,57 @@ pub fn byte_entropy(bytes: &[u8]) -> f64 {
 /// payloads: clustering to k centroids caps this near `log2(k)` while the
 /// byte-level figure barely moves (the four byte lanes mix).
 pub fn word_entropy(bytes: &[u8]) -> f64 {
-    let words: Vec<u32> = bytes
+    let mut words: Vec<u32> = bytes
         .chunks_exact(4)
         .map(|c| u32::from_le_bytes([c[0], c[1], c[2], c[3]]))
         .collect();
     if words.is_empty() {
         return 0.0;
     }
-    // BTreeMap, not HashMap: `values()` feeds a float sum below, and the
-    // entropy figure lands in the rendered report — the accumulation
-    // order must not depend on hash iteration order.
-    let mut counts: std::collections::BTreeMap<u32, u64> = std::collections::BTreeMap::new();
-    for w in &words {
-        *counts.entry(*w).or_default() += 1;
-    }
+    // Sort, then count runs of equal words. The runs come out in
+    // ascending word order, the order `reference::word_entropy` walks its
+    // BTreeMap in, so the float sum below adds the same terms in the same
+    // order and the figure that lands in the rendered report is
+    // bit-identical.
+    words.sort_unstable();
     let n = words.len() as f64;
-    counts
-        .values()
-        .map(|&c| {
-            let p = c as f64 / n;
+    words
+        .chunk_by(|a, b| a == b)
+        .map(|run| {
+            let p = run.len() as f64 / n;
             -p * p.log2()
         })
         .sum()
+}
+
+/// The original map-counting [`word_entropy`], kept so property tests can
+/// pin the sort-based version against it bit for bit.
+pub mod reference {
+    /// Shannon entropy over 32-bit words, counted in a `BTreeMap`.
+    pub fn word_entropy(bytes: &[u8]) -> f64 {
+        let words: Vec<u32> = bytes
+            .chunks_exact(4)
+            .map(|c| u32::from_le_bytes([c[0], c[1], c[2], c[3]]))
+            .collect();
+        if words.is_empty() {
+            return 0.0;
+        }
+        // BTreeMap, not HashMap: `values()` feeds a float sum below, and
+        // the entropy figure lands in the rendered report — the
+        // accumulation order must not depend on hash iteration order.
+        let mut counts: std::collections::BTreeMap<u32, u64> = std::collections::BTreeMap::new();
+        for w in &words {
+            *counts.entry(*w).or_default() += 1;
+        }
+        let n = words.len() as f64;
+        counts
+            .values()
+            .map(|&c| {
+                let p = c as f64 / n;
+                -p * p.log2()
+            })
+            .sum()
+    }
 }
 
 /// Histogram with `bins` equal-width buckets over `[lo, hi]`.

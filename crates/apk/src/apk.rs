@@ -2,7 +2,7 @@
 //! Play Store's 100 MB size limit (§3.1).
 
 use crate::dex::{Dex, DexBuilder};
-use crate::zip::{ZipArchive, ZipWriter};
+use crate::zip::{ZipArchive, ZipEntry, ZipWriter};
 use crate::{ApkError, Result};
 
 /// Play Store size limit for a base APK, in bytes (§3.1: "Apks have a size
@@ -154,15 +154,28 @@ impl Apk {
     /// and any other non-code entry. The extraction stage filters this by
     /// extension and signature.
     pub fn candidate_files(&self) -> impl Iterator<Item = (&str, &[u8])> {
-        self.archive.entries().iter().filter_map(|e| {
-            let is_code = e.name == "classes.dex" || e.name == "AndroidManifest.xml";
-            if is_code || e.name.starts_with("lib/") {
-                None
-            } else {
-                Some((e.name.as_str(), e.data.as_slice()))
-            }
-        })
+        self.archive
+            .entries()
+            .iter()
+            .filter(|e| is_candidate(&e.name))
+            .map(|e| (e.name.as_str(), e.data.as_slice()))
     }
+
+    /// [`Apk::candidate_files`] by value: the candidate entries move out
+    /// of the parsed archive with their payloads and crcs, uncopied.
+    pub fn into_candidate_files(self) -> impl Iterator<Item = ZipEntry> {
+        self.archive
+            .into_entries()
+            .into_iter()
+            .filter(|e| is_candidate(&e.name))
+    }
+}
+
+/// Whether an entry could hold a model: anything but code and native
+/// libraries.
+fn is_candidate(name: &str) -> bool {
+    let is_code = name == "classes.dex" || name == "AndroidManifest.xml";
+    !is_code && !name.starts_with("lib/")
 }
 
 fn field(text: &str, key: &str) -> Option<String> {
@@ -211,6 +224,12 @@ mod tests {
         assert!(cands.contains(&"res/raw/extra.bin"));
         assert!(!cands.iter().any(|c| c.starts_with("lib/")));
         assert!(!cands.contains(&"classes.dex"));
+        let owned: Vec<String> = Apk::parse(&sample())
+            .unwrap()
+            .into_candidate_files()
+            .map(|e| e.name)
+            .collect();
+        assert_eq!(owned, cands);
     }
 
     #[test]

@@ -34,6 +34,20 @@ pub struct ZipEntry {
     pub name: String,
     /// Uncompressed (== stored) payload.
     pub data: Vec<u8>,
+    /// CRC-32 of `data`: computed once when the entry is built, verified
+    /// against the archive's record when it is parsed.
+    pub crc32: u32,
+}
+
+impl ZipEntry {
+    /// An entry holding `data`, with its crc computed here.
+    pub fn new(name: impl Into<String>, data: Vec<u8>) -> Self {
+        ZipEntry {
+            name: name.into(),
+            crc32: crc32(&data),
+            data,
+        }
+    }
 }
 
 /// Incremental archive writer.
@@ -54,7 +68,7 @@ impl ZipWriter {
         if self.entries.iter().any(|e| e.name == name) {
             return Err(ApkError::Duplicate(name));
         }
-        self.entries.push(ZipEntry { name, data });
+        self.entries.push(ZipEntry::new(name, data));
         Ok(())
     }
 
@@ -70,9 +84,9 @@ impl ZipWriter {
 
     /// Serialise to the ZIP wire format.
     ///
-    /// One pass over the payloads: each entry's crc is computed once and
-    /// shared by its local header and its central-directory record, and
-    /// the archive is written into a buffer sized up front.
+    /// One pass over the payloads: each entry's crc, computed once when it
+    /// was added, is shared by its local header and its central-directory
+    /// record, and the archive is written into a buffer sized up front.
     pub fn finish(self) -> Vec<u8> {
         let names: usize = self.entries.iter().map(|e| e.name.len()).sum();
         let data: usize = self.entries.iter().map(|e| e.data.len()).sum();
@@ -81,11 +95,9 @@ impl ZipWriter {
             + data
             + EOCD_LEN;
         let mut out = Vec::with_capacity(size);
-        let mut records = Vec::with_capacity(self.entries.len());
+        let mut offsets = Vec::with_capacity(self.entries.len());
         for e in &self.entries {
-            let offset = out.len() as u32;
-            let crc = crc32(&e.data);
-            records.push((offset, crc));
+            offsets.push(out.len() as u32);
             // Local file header.
             put_u32(&mut out, LOCAL_SIG);
             put_u16(&mut out, VERSION); // version needed
@@ -93,7 +105,7 @@ impl ZipWriter {
             put_u16(&mut out, 0); // method: stored
             put_u16(&mut out, 0); // mod time
             put_u16(&mut out, 0); // mod date
-            put_u32(&mut out, crc);
+            put_u32(&mut out, e.crc32);
             put_u32(&mut out, e.data.len() as u32); // compressed
             put_u32(&mut out, e.data.len() as u32); // uncompressed
             put_u16(&mut out, e.name.len() as u16);
@@ -102,7 +114,7 @@ impl ZipWriter {
             out.extend_from_slice(&e.data);
         }
         let central_start = out.len() as u32;
-        for (e, &(off, crc)) in self.entries.iter().zip(&records) {
+        for (e, &off) in self.entries.iter().zip(&offsets) {
             put_u32(&mut out, CENTRAL_SIG);
             put_u16(&mut out, VERSION); // version made by
             put_u16(&mut out, VERSION); // version needed
@@ -110,7 +122,7 @@ impl ZipWriter {
             put_u16(&mut out, 0); // method
             put_u16(&mut out, 0); // time
             put_u16(&mut out, 0); // date
-            put_u32(&mut out, crc);
+            put_u32(&mut out, e.crc32);
             put_u32(&mut out, e.data.len() as u32);
             put_u32(&mut out, e.data.len() as u32);
             put_u16(&mut out, e.name.len() as u16);
@@ -193,7 +205,11 @@ impl ZipArchive {
             if crc32(&data) != crc {
                 return Err(ApkError::CrcMismatch { entry: name });
             }
-            entries.push(ZipEntry { name, data });
+            entries.push(ZipEntry {
+                name,
+                data,
+                crc32: crc,
+            });
         }
         Ok(ZipArchive { entries })
     }
@@ -201,6 +217,12 @@ impl ZipArchive {
     /// All entries in central-directory order.
     pub fn entries(&self) -> &[ZipEntry] {
         &self.entries
+    }
+
+    /// Take the entries out of the archive, in central-directory order,
+    /// without copying their payloads.
+    pub fn into_entries(self) -> Vec<ZipEntry> {
+        self.entries
     }
 
     /// Look up an entry payload by exact name.
@@ -341,6 +363,19 @@ mod tests {
         assert!(a.get("missing").is_none());
         let names: Vec<&str> = a.names().collect();
         assert_eq!(names[0], "classes.dex");
+    }
+
+    #[test]
+    fn parsed_entries_carry_their_verified_crc() {
+        let mut w = ZipWriter::new();
+        w.add("a.bin", vec![7; 33]).unwrap();
+        w.add("b.bin", b"123456789".to_vec()).unwrap();
+        let entries = ZipArchive::parse(&w.finish()).unwrap().into_entries();
+        assert_eq!(entries.len(), 2);
+        for e in &entries {
+            assert_eq!(e.crc32, crc32(&e.data), "{}", e.name);
+        }
+        assert_eq!(entries[1].crc32, 0xCBF4_3926);
     }
 
     #[test]

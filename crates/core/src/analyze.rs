@@ -14,7 +14,9 @@
 //! 2. **Model analysis** — work units are the *individual model files*
 //!    found in phase 1, sized by their file bytes, scheduled the same
 //!    way. One model-dense app no longer straggles its shard: its models
-//!    spread across the fleet.
+//!    spread across the fleet. With the cache on, byte-identical files
+//!    are first grouped and only one unit per group is scheduled (see
+//!    below).
 //!
 //! The merge walks apps (and their models) in corpus-index order, so the
 //! produced models, instances, index docs and counters are
@@ -27,7 +29,7 @@
 //! The paper's dataset is heavily duplicated — most model instances are
 //! byte-identical copies shipped by many apps — so the expensive work
 //! (graph decode, [`trace_graph`], [`classify_graph`], [`inspect`],
-//! [`layer_checksums`]) is keyed by the cheap [`model_checksum`] over the
+//! [`layer_checksums`]) is keyed by the [`model_checksum`] md5 over the
 //! raw bytes. The [`ModelCache`] is a sharded map (per-shard mutex, so
 //! workers hashing different models never contend on one lock) of
 //! compute-once slots: the first worker to claim a checksum computes the
@@ -36,6 +38,23 @@
 //! cached too — an obfuscated model shipped by 40 apps is probed once,
 //! not 40 times — while still charging one `failed_candidates` count per
 //! instance, exactly as the sequential loop did.
+//!
+//! # Content grouping
+//!
+//! The md5 key is not cheap: hashed once per instance it was the largest
+//! analysis stage, larger than extraction. So between the two phases the
+//! model units are grouped by exact content — the path-sorted sequence of
+//! file byte strings that [`model_checksum`] streams. Units are bucketed
+//! by each file's `(length, crc32)`, the crc the ZIP parser already
+//! verified ([`FoundModel::crcs`]), and a unit joins a group only when
+//! its bytes equal the representative's, so a crc collision costs one
+//! comparison and never merges two contents. Only each group's
+//! representative (its first unit in corpus order) is scheduled, hashed
+//! and looked up; afterwards every other member takes the
+//! representative's checksum and attaches through
+//! [`ModelCache::get_or_compute`], counting a cache hit exactly as it
+//! would had it hashed its own copy. Grouping is on exactly when
+//! [`AnalysisConfig::dedup_cache`] is.
 //!
 //! With [`AnalysisConfig::cache_dir`] set the cache is additionally
 //! backed by a persistent [`CacheStore`]: the first claimant of a
@@ -56,9 +75,13 @@
 //! * the cache only memoises a pure function of the model bytes, so the
 //!   race for who computes a checksum first never changes *what* is
 //!   computed;
+//! * content groups are exact (equal bytes, hence an equal checksum), so
+//!   every instance carries the checksum it would have hashed itself;
 //! * cache hit/miss totals are interleaving-independent (misses = unique
 //!   checksums, hits = instances − misses) because slots are claimed
-//!   exactly once under the shard lock;
+//!   exactly once under the shard lock, every checksum has a
+//!   representative that claims it, and every other instance attaches
+//!   to a claimed slot;
 //! * the merge assembles everything in corpus order, so first-sighting
 //!   order — and with it model numbering, Table 2 counts and the Fig. 6
 //!   composition — matches the sequential loop bit for bit.
@@ -70,7 +93,7 @@
 
 use crate::cachestore::CacheStore;
 use crate::crashpoint::{self, CrashPoint};
-use crate::extract::{extract_app, AppExtraction};
+use crate::extract::{extract_app, AppExtraction, FoundModel};
 use crate::{CoreError, Result};
 use gaugenn_analysis::classify::{classify_graph, Classification, LayerComposition};
 use gaugenn_analysis::dedup::{layer_checksums, model_checksum};
@@ -93,9 +116,11 @@ pub struct AnalysisConfig {
     /// Worker threads. Clamped to a minimum of 1; 1 reproduces the old
     /// sequential loop through the same code path.
     pub workers: usize,
-    /// Content-addressed dedup cache in front of decode/trace. On by
-    /// default; `analyzebench` switches it off to measure what the cache
-    /// buys (every instance then pays the full decode + trace).
+    /// Content-addressed dedup cache in front of decode/trace, and
+    /// content grouping in front of the md5 that keys it: byte-identical
+    /// model files are hashed and analysed once. On by default;
+    /// `analyzebench` switches it off to measure what the cache buys
+    /// (every instance then pays the full md5 + decode + trace).
     pub dedup_cache: bool,
     /// How work units (apps in the extraction phase, model files in the
     /// analysis phase) are partitioned across workers. Defaults to the
@@ -319,7 +344,8 @@ pub struct AnalysisStats {
     pub persistent_stores: u64,
     /// Wall-clock in app extraction across all workers, microseconds.
     pub extract_us: u64,
-    /// Wall-clock computing whole-model checksums, microseconds.
+    /// Wall-clock identifying model contents, microseconds: content
+    /// grouping plus the whole-model checksums of the representatives.
     pub checksum_us: u64,
     /// Wall-clock in graph decode, microseconds.
     pub decode_us: u64,
@@ -451,6 +477,15 @@ impl AnalysisPool {
     /// in corpus-index order, byte-identical at any worker count and
     /// under any [`SchedMode`].
     pub fn analyse(&self, crawled: &[CrawledApp]) -> Result<AnalysisOutput> {
+        self.run(crawled, self.config.dedup_cache)
+    }
+
+    /// [`AnalysisPool::analyse`], with content grouping of the model
+    /// units on or off. Grouping needs the cache (members attach to their
+    /// representative's slot), so `analyse` groups exactly when the cache
+    /// is on; the tests also run the cache without it, to pin that
+    /// grouping changes nothing but the work done.
+    fn run(&self, crawled: &[CrawledApp], group: bool) -> Result<AnalysisOutput> {
         let workers = self.config.workers.max(1);
         let mode = self.config.sched;
         let seed = self.config.sched_seed;
@@ -521,31 +556,41 @@ impl AnalysisPool {
 
         // Phase 2 — model analysis. Units are the individual model files
         // of every successfully extracted app, enumerated app-major in
-        // corpus order (the merge below walks the same sequence), sized
-        // by their file bytes.
-        let mut refs: Vec<(usize, usize)> = Vec::new();
-        let mut model_units: Vec<WorkUnit> = Vec::new();
-        for (i, slot) in extractions.iter().enumerate() {
-            if let Some(Ok(ext)) = slot {
-                for (j, found) in ext.models.iter().enumerate() {
-                    model_units.push(WorkUnit {
-                        index: model_units.len(),
-                        size: found.files.iter().map(|(_, b)| b.len() as u64).sum(),
-                    });
-                    refs.push((i, j));
-                }
-            }
+        // corpus order (the merge below walks the same sequence).
+        let mut found: Vec<&FoundModel> = Vec::new();
+        for ext in extractions.iter().flatten().flatten() {
+            found.extend(&ext.models);
         }
+        // Units with byte-identical content form one group, represented by
+        // its first unit in corpus order. Only representatives are
+        // scheduled, sized by their file bytes; the rest attach to their
+        // representative's outcome after the phase.
+        let t0 = Instant::now(); // gaugelint: deterministic-via(clock) — stage timers are diagnostics, never rendered into the deterministic report
+        let rep_of = if group && use_cache {
+            content_groups(&found)
+        } else {
+            (0..found.len()).collect()
+        };
+        timers.checksum += t0.elapsed();
+        let reps: Vec<usize> = (0..found.len()).filter(|&u| rep_of[u] == u).collect();
+        let model_units: Vec<WorkUnit> = reps
+            .iter()
+            .enumerate()
+            .map(|(index, &u)| WorkUnit {
+                index,
+                size: found[u].files.iter().map(|(_, b)| b.len() as u64).sum(),
+            })
+            .collect();
         let model_plan = assign(&model_units, workers, mode, seed);
         let mut outcomes: Vec<Option<(String, ModelOutcome)>> =
-            (0..model_units.len()).map(|_| None).collect();
+            (0..found.len()).map(|_| None).collect();
         // Per-worker output: (unit sequence number, (checksum, outcome))
         // pairs plus the worker's stage timers.
         type AnalyseShard = (Vec<(usize, (String, ModelOutcome))>, StageTimers);
         let phase2: Vec<AnalyseShard> = {
             let cache = &cache;
-            let refs = &refs;
-            let extractions = &extractions;
+            let reps = &reps;
+            let found = &found;
             std::thread::scope(|scope| {
                 let handles: Vec<_> = model_plan
                     .iter()
@@ -553,13 +598,9 @@ impl AnalysisPool {
                         scope.spawn(move || {
                             let mut t = StageTimers::default();
                             let mut out = Vec::new();
-                            for &u in shard {
-                                let (i, j) = refs[u];
-                                let ext = match &extractions[i] {
-                                    Some(Ok(e)) => e,
-                                    _ => unreachable!("units come from successful extractions"),
-                                };
-                                let found = &ext.models[j];
+                            for &k in shard {
+                                let u = reps[k];
+                                let found = found[u];
                                 let t1 = Instant::now(); // gaugelint: deterministic-via(clock) — stage timers are diagnostics, never rendered into the deterministic report
                                 let checksum = model_checksum(&found.files);
                                 t.checksum += t1.elapsed();
@@ -589,6 +630,22 @@ impl AnalysisPool {
             timers.trace += t.trace;
             for (u, pair) in worker_out {
                 outcomes[u] = Some(pair);
+            }
+        }
+        // Fan-out: every other member takes its representative's checksum
+        // and attaches through the cache, counting a hit exactly as it
+        // would had it hashed its own copy.
+        for u in 0..found.len() {
+            let r = rep_of[u];
+            if r != u {
+                let (checksum, _) = outcomes[r]
+                    .as_ref()
+                    .expect("a representative precedes its members");
+                let checksum = checksum.clone();
+                let outcome = cache.get_or_compute(&checksum, || {
+                    unreachable!("the representative filled this slot in phase 2")
+                });
+                outcomes[u] = Some((checksum, outcome));
             }
         }
 
@@ -721,6 +778,54 @@ impl AnalysisPool {
     }
 }
 
+/// Group model units by exact content: the path-sorted sequence of file
+/// byte strings that [`model_checksum`] streams. Returns, per unit, the
+/// index of its group's representative, the group's first unit.
+///
+/// Units are bucketed by the per-file `(length, crc32)` the container
+/// parser already verified, and a unit joins a group only when its bytes
+/// equal the representative's (`==` on the slices), so a crc collision
+/// costs one comparison and never merges two contents. Equal content
+/// implies an equal checksum; two groups may still share one (the same
+/// bytes split differently across files), and then their
+/// representatives meet in the cache as two instances of one checksum
+/// always did.
+fn content_groups(found: &[&FoundModel]) -> Vec<usize> {
+    let mut buckets: BTreeMap<Vec<(usize, u32)>, Vec<usize>> = BTreeMap::new();
+    let mut rep_of = Vec::with_capacity(found.len());
+    for (u, m) in found.iter().enumerate() {
+        let files = path_sorted(m);
+        let key = files.iter().map(|&(b, crc)| (b.len(), crc)).collect();
+        let reps = buckets.entry(key).or_default();
+        // Tuple `==` compares the byte slices themselves.
+        let rep = reps
+            .iter()
+            .copied()
+            .find(|&r| path_sorted(found[r]) == files);
+        rep_of.push(rep.unwrap_or_else(|| {
+            reps.push(u);
+            u
+        }));
+    }
+    rep_of
+}
+
+/// `(bytes, crc32)` of a unit's files in the order [`model_checksum`]
+/// streams them: a stable sort by path.
+fn path_sorted(m: &FoundModel) -> Vec<(&[u8], u32)> {
+    let mut files: Vec<(&str, &[u8], u32)> = m
+        .files
+        .iter()
+        .zip(&m.crcs)
+        .map(|((path, bytes), &crc)| (path.as_str(), bytes.as_slice(), crc))
+        .collect();
+    files.sort_by(|a, b| a.0.cmp(b.0));
+    files
+        .into_iter()
+        .map(|(_, bytes, crc)| (bytes, crc))
+        .collect()
+}
+
 /// The expensive once-per-unique-checksum work: decode, trace, classify,
 /// inspect, layer-checksum.
 fn analyse_model(
@@ -782,6 +887,224 @@ mod tests {
 
     fn checksums(out: &AnalysisOutput) -> Vec<&str> {
         out.models.iter().map(|m| m.checksum.as_str()).collect()
+    }
+
+    /// A hand-built app whose APK ships `assets` (path, bytes) pairs.
+    fn app_with(package: &str, assets: &[(&str, &[u8])]) -> CrawledApp {
+        let mut b = gaugenn_apk::ApkBuilder::new(package, 1);
+        for (path, bytes) in assets {
+            b.add_asset(path, bytes.to_vec()).unwrap();
+        }
+        CrawledApp {
+            meta: gaugenn_playstore::crawler::AppMeta {
+                package: package.to_string(),
+                title: package.to_string(),
+                category: "TOOLS".to_string(),
+                downloads: 1000,
+                rating: 4.0,
+                version_code: 1,
+                has_obb: false,
+                has_bundle: false,
+            },
+            apk: b.finish().unwrap(),
+            obbs: vec![],
+            bundle: None,
+        }
+    }
+
+    /// A decodable single-file TFLite model.
+    fn tflite_model(seed: u64) -> Vec<u8> {
+        use gaugenn_dnn::zoo::{build_for_task, SizeClass};
+        let model = build_for_task(
+            gaugenn_dnn::task::Task::MovementTracking,
+            seed,
+            SizeClass::Small,
+            true,
+        );
+        let artifact = gaugenn_modelfmt::encode(&model.graph, Framework::TfLite).unwrap();
+        artifact.files[0].1.clone()
+    }
+
+    /// Rewrite `data[at..at + 4]` so that `crc32(data) == target`. CRC-32
+    /// is affine over GF(2) for a fixed length, and any 32 consecutive
+    /// bits span its whole range, so one 4-byte window always suffices.
+    fn forge_crc(data: &mut [u8], at: usize, target: u32) {
+        use gaugenn_apk::crc32::crc32;
+        data[at..at + 4].fill(0);
+        let base = crc32(data);
+        // basis[b]: a crc change whose top bit is b, and the window bits
+        // that produce it.
+        let mut basis = [(0u32, 0u32); 32];
+        for i in 0..32 {
+            data[at + i / 8] ^= 1 << (i % 8);
+            let (mut v, mut w) = (crc32(data) ^ base, 1u32 << i);
+            data[at + i / 8] ^= 1 << (i % 8);
+            for b in (0..32).rev() {
+                if v >> b & 1 == 0 {
+                    continue;
+                }
+                if basis[b].0 == 0 {
+                    basis[b] = (v, w);
+                    break;
+                }
+                v ^= basis[b].0;
+                w ^= basis[b].1;
+            }
+        }
+        let (mut v, mut w) = (target ^ base, 0u32);
+        for b in (0..32).rev() {
+            if v >> b & 1 == 1 {
+                v ^= basis[b].0;
+                w ^= basis[b].1;
+            }
+        }
+        assert_eq!(v, 0, "a 4-byte window spans every crc");
+        data[at..at + 4].copy_from_slice(&w.to_le_bytes());
+        assert_eq!(crc32(data), target);
+    }
+
+    /// Everything the merge produces that a caller can observe, minus
+    /// wall-clock timings and the persistent-store counters.
+    fn assert_same_output(a: &AnalysisOutput, b: &AnalysisOutput, what: &str) {
+        assert_eq!(checksums(a), checksums(b), "{what}");
+        let models = |o: &AnalysisOutput| -> Vec<(String, String, usize, usize)> {
+            o.models
+                .iter()
+                .map(|m| {
+                    (
+                        m.checksum.clone(),
+                        m.name.clone(),
+                        m.size_bytes,
+                        m.app_count,
+                    )
+                })
+                .collect()
+        };
+        assert_eq!(models(a), models(b), "{what}");
+        let instances = |o: &AnalysisOutput| -> Vec<(String, String, String)> {
+            o.instances
+                .iter()
+                .map(|i| (i.app.clone(), i.path.clone(), i.checksum.clone()))
+                .collect()
+        };
+        assert_eq!(instances(a), instances(b), "{what}");
+        assert_eq!(a.model_index, b.model_index, "{what}");
+        assert_eq!(a.composition.counts, b.composition.counts, "{what}");
+        assert_eq!(a.failed_candidates, b.failed_candidates, "{what}");
+        let stats = |o: &AnalysisOutput| {
+            let s = &o.stats;
+            (s.instances, s.cache_hits, s.cache_misses, s.unique_analysed)
+        };
+        assert_eq!(stats(a), stats(b), "{what}");
+    }
+
+    #[test]
+    fn content_grouping_never_changes_the_output() {
+        let apps = crawl_tiny();
+        // The Tiny corpus plants cross-app copies, so grouping has work:
+        // fewer distinct contents than instances, and one per checksum.
+        let extractions: Vec<AppExtraction> =
+            apps.iter().map(|a| extract_app(a).unwrap()).collect();
+        let found: Vec<&FoundModel> = extractions.iter().flat_map(|e| &e.models).collect();
+        let rep_of = content_groups(&found);
+        let groups = (0..found.len()).filter(|&u| rep_of[u] == u).count();
+        let distinct: BTreeSet<String> = found.iter().map(|m| model_checksum(&m.files)).collect();
+        assert!(
+            groups < found.len(),
+            "{groups} groups of {} units",
+            found.len()
+        );
+        assert_eq!(groups, distinct.len());
+        for workers in [1usize, 2, 4] {
+            let pool = AnalysisPool::new(AnalysisConfig::with_workers(workers));
+            let grouped = pool.run(&apps, true).unwrap();
+            let per_instance = pool.run(&apps, false).unwrap();
+            assert_same_output(&grouped, &per_instance, &format!("{workers} workers"));
+            assert_eq!(grouped.stats.cache_misses as usize, distinct.len());
+        }
+    }
+
+    #[test]
+    fn crc_collision_is_not_a_content_match() {
+        let a = tflite_model(11);
+        // Flip one weight byte, then patch four more weight bytes so the
+        // crc32 matches `a`'s again: same length, same crc, other bytes.
+        let graph =
+            gaugenn_modelfmt::decode(Framework::TfLite, &[("m.tflite".into(), a.clone())]).unwrap();
+        let weights = graph
+            .nodes
+            .iter()
+            .find_map(|n| n.weights.as_ref())
+            .unwrap()
+            .to_bytes();
+        assert!(weights.len() >= 64);
+        let at = a.windows(64).position(|w| w == &weights[..64]).unwrap();
+        let mut b = a.clone();
+        b[at + 20] ^= 0x01;
+        forge_crc(&mut b, at + 40, gaugenn_apk::crc32::crc32(&a));
+        assert_ne!(a, b);
+        assert_eq!(a.len(), b.len());
+        for bytes in [&a, &b] {
+            gaugenn_modelfmt::decode(Framework::TfLite, &[("m.tflite".into(), bytes.clone())])
+                .expect("both variants decode");
+        }
+        let apps = vec![
+            app_with("com.t.a", &[("m.tflite", &a)]),
+            app_with("com.t.b", &[("m.tflite", &b)]),
+            app_with("com.t.a2", &[("copy.tflite", &a)]),
+        ];
+        // The extracted units really do share a bucket key.
+        let ext: Vec<AppExtraction> = apps.iter().map(|x| extract_app(x).unwrap()).collect();
+        assert_eq!(ext[0].models[0].crcs, ext[1].models[0].crcs);
+        let found: Vec<&FoundModel> = ext.iter().map(|e| &e.models[0]).collect();
+        assert_eq!(content_groups(&found), vec![0, 1, 0]);
+        for workers in [1usize, 2] {
+            let out = AnalysisPool::new(AnalysisConfig::with_workers(workers))
+                .analyse(&apps)
+                .unwrap();
+            assert_eq!(out.models.len(), 2, "{workers} workers");
+            assert_eq!(
+                out.models[0].checksum,
+                model_checksum(&ext[0].models[0].files)
+            );
+            assert_eq!(
+                out.models[1].checksum,
+                model_checksum(&ext[1].models[0].files)
+            );
+            assert_ne!(out.models[0].checksum, out.models[1].checksum);
+            assert_eq!(out.models[0].app_count, 2);
+            assert_eq!(out.instances[2].checksum, out.models[0].checksum);
+            assert_eq!((out.stats.cache_hits, out.stats.cache_misses), (1, 2));
+        }
+    }
+
+    #[test]
+    fn undecodable_copies_charge_one_failure_per_instance() {
+        // A valid TFLite signature over a garbage body: the probe keeps
+        // it, decode rejects it.
+        let mut fake = Vec::new();
+        fake.extend_from_slice(&8u32.to_le_bytes());
+        fake.extend_from_slice(b"TFL3");
+        fake.extend_from_slice(&3u32.to_le_bytes());
+        fake.extend_from_slice(&[0xFF; 64]);
+        let good = tflite_model(5);
+        let apps = vec![
+            app_with("com.t.one", &[("bad.tflite", &fake), ("ok.tflite", &good)]),
+            app_with("com.t.two", &[("bad.tflite", &fake)]),
+            app_with("com.t.three", &[("renamed.tflite", &fake)]),
+        ];
+        for workers in [1usize, 3] {
+            let pool = AnalysisPool::new(AnalysisConfig::with_workers(workers));
+            let grouped = pool.run(&apps, true).unwrap();
+            assert_eq!(grouped.failed_candidates, 3, "{workers} workers");
+            assert_eq!(grouped.instances.len(), 1);
+            assert_eq!(grouped.models.len(), 1);
+            assert_eq!(
+                (grouped.stats.cache_hits, grouped.stats.cache_misses),
+                (2, 2)
+            );
+            assert_same_output(&grouped, &pool.run(&apps, false).unwrap(), "ungrouped");
+        }
     }
 
     #[test]

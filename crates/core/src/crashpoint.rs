@@ -48,7 +48,10 @@ pub enum CrashPoint {
     PostCrawl,
     /// Per-app model extraction (analysis phase 1), once per app unit.
     AppExtract,
-    /// Per-model analysis (analysis phase 2), once per model unit.
+    /// Per-model analysis (analysis phase 2), once per scheduled model
+    /// unit: one per distinct model content while the dedup cache is on
+    /// (copies attach to their group's result without a hit here), one
+    /// per model instance with it off.
     ModelAnalysis,
     /// Cache-store append: after an entry file is atomically published
     /// but *before* its index line lands — the torn-append window the

@@ -15,6 +15,7 @@
 use gaugenn_analysis::cloudapi::{self, Provider};
 use gaugenn_apk::bundle::Bundle;
 use gaugenn_apk::obb::Obb;
+use gaugenn_apk::zip::ZipEntry;
 use gaugenn_apk::{nativelib, Apk};
 use gaugenn_modelfmt::validate::FileRole;
 use gaugenn_modelfmt::{validate, Framework};
@@ -27,8 +28,25 @@ pub struct FoundModel {
     pub framework: Framework,
     /// `(entry_path, bytes)` of every file of the model, primary first.
     pub files: Vec<(String, Vec<u8>)>,
+    /// CRC-32 of each of `files`, in the same order: for APK and OBB
+    /// entries the value the zip parser already verified, so keying a
+    /// model by content costs no further pass over its bytes (asset-pack
+    /// files, whose parsed form drops it, are crc'd on extraction).
+    pub crcs: Vec<u32>,
     /// Where it was found.
     pub source: ModelSource,
+}
+
+impl FoundModel {
+    fn new(framework: Framework, entries: Vec<ZipEntry>, source: ModelSource) -> FoundModel {
+        let crcs = entries.iter().map(|e| e.crc32).collect();
+        FoundModel {
+            framework,
+            files: entries.into_iter().map(|e| (e.name, e.data)).collect(),
+            crcs,
+            source,
+        }
+    }
 }
 
 /// Where in the app distribution a model was located.
@@ -91,40 +109,7 @@ impl AppExtraction {
 /// Extract one crawled app.
 pub fn extract_app(app: &CrawledApp) -> Result<AppExtraction, gaugenn_apk::ApkError> {
     let apk = Apk::parse(&app.apk)?;
-    let mut models = Vec::new();
-    let mut failed = 0usize;
-    collect_models(
-        apk.candidate_files().map(|(p, b)| (p.to_string(), b.to_vec())),
-        ModelSource::BaseApk,
-        &mut models,
-        &mut failed,
-    );
-    // Expansion files and asset packs (§4.2): same funnel, different source.
-    for (name, bytes) in &app.obbs {
-        if let Ok(obb) = Obb::parse(name, bytes) {
-            collect_models(
-                obb.archive
-                    .entries()
-                    .iter()
-                    .map(|e| (e.name.clone(), e.data.clone())),
-                ModelSource::Obb,
-                &mut models,
-                &mut failed,
-            );
-        }
-    }
-    if let Some(bundle_bytes) = &app.bundle {
-        if let Ok(bundle) = Bundle::parse(bundle_bytes) {
-            for pack in &bundle.packs {
-                collect_models(
-                    pack.files.iter().cloned(),
-                    ModelSource::AssetPack,
-                    &mut models,
-                    &mut failed,
-                );
-            }
-        }
-    }
+    let package = apk.package().to_string();
 
     // Library-inclusion analysis (native libs + dex strings).
     let mut frameworks = Vec::new();
@@ -143,8 +128,44 @@ pub fn extract_app(app: &CrawledApp) -> Result<AppExtraction, gaugenn_apk::ApkEr
         }
     }
 
+    // The model funnel consumes the parsed containers: candidate entries
+    // move out with their payloads, and only validated ones are kept.
+    let mut models = Vec::new();
+    let mut failed = 0usize;
+    collect_models(
+        apk.into_candidate_files(),
+        ModelSource::BaseApk,
+        &mut models,
+        &mut failed,
+    );
+    // Expansion files and asset packs (§4.2): same funnel, different source.
+    for (name, bytes) in &app.obbs {
+        if let Ok(obb) = Obb::parse(name, bytes) {
+            collect_models(
+                obb.archive.into_entries().into_iter(),
+                ModelSource::Obb,
+                &mut models,
+                &mut failed,
+            );
+        }
+    }
+    if let Some(bundle_bytes) = &app.bundle {
+        if let Ok(bundle) = Bundle::parse(bundle_bytes) {
+            for pack in bundle.packs {
+                collect_models(
+                    pack.files
+                        .into_iter()
+                        .map(|(path, bytes)| ZipEntry::new(path, bytes)),
+                    ModelSource::AssetPack,
+                    &mut models,
+                    &mut failed,
+                );
+            }
+        }
+    }
+
     Ok(AppExtraction {
-        package: apk.package().to_string(),
+        package,
         category: app.meta.category.clone(),
         models,
         failed_candidates: failed,
@@ -175,39 +196,35 @@ const FRAMEWORK_MARKERS: &[(Framework, &[&str])] = &[
 ];
 
 /// Run the validation funnel over an entry iterator and assemble models,
-/// pairing split formats by file stem.
+/// pairing split formats by file stem. Validation reads each entry by
+/// reference; entries that fail it are dropped without being copied.
 fn collect_models(
-    entries: impl Iterator<Item = (String, Vec<u8>)>,
+    entries: impl Iterator<Item = ZipEntry>,
     source: ModelSource,
     models: &mut Vec<FoundModel>,
     failed: &mut usize,
 ) {
     // First pass: validate everything, remembering split-format parts.
-    let mut complete: Vec<(Framework, String, Vec<u8>)> = Vec::new();
-    let mut graph_parts: Vec<(Framework, String, Vec<u8>)> = Vec::new();
-    let mut weight_parts: Vec<(Framework, String, Vec<u8>)> = Vec::new();
-    for (path, bytes) in entries {
-        let file_name = path.rsplit('/').next().unwrap_or(&path).to_string();
-        let had_candidates = !gaugenn_modelfmt::formats::candidates_for(&file_name).is_empty();
-        match validate(&file_name, &bytes) {
+    let mut complete: Vec<(Framework, ZipEntry)> = Vec::new();
+    let mut graph_parts: Vec<(Framework, ZipEntry)> = Vec::new();
+    let mut weight_parts: Vec<(Framework, ZipEntry)> = Vec::new();
+    for entry in entries {
+        let file_name = entry.name.rsplit('/').next().unwrap_or(&entry.name);
+        match validate(file_name, &entry.data) {
             Some(v) => match v.role {
-                FileRole::Complete => complete.push((v.framework, path, bytes)),
-                FileRole::GraphPart => graph_parts.push((v.framework, path, bytes)),
-                FileRole::WeightsPart => weight_parts.push((v.framework, path, bytes)),
+                FileRole::Complete => complete.push((v.framework, entry)),
+                FileRole::GraphPart => graph_parts.push((v.framework, entry)),
+                FileRole::WeightsPart => weight_parts.push((v.framework, entry)),
             },
             None => {
-                if had_candidates {
+                if !gaugenn_modelfmt::formats::candidates_for(file_name).is_empty() {
                     *failed += 1;
                 }
             }
         }
     }
-    for (fw, path, bytes) in complete {
-        models.push(FoundModel {
-            framework: fw,
-            files: vec![(path, bytes)],
-            source,
-        });
+    for (fw, entry) in complete {
+        models.push(FoundModel::new(fw, vec![entry], source));
     }
     // Pair split formats by stem; a weights part without its graph part is
     // still a model (the codecs treat the binary part as authoritative).
@@ -215,21 +232,16 @@ fn collect_models(
         let name = p.rsplit('/').next().unwrap_or(p);
         name.split('.').next().unwrap_or(name).to_string()
     };
-    for (fw, wpath, wbytes) in weight_parts {
-        let wstem = stem(&wpath);
+    for (fw, weights) in weight_parts {
+        let wstem = stem(&weights.name);
         let mate = graph_parts
             .iter()
-            .position(|(gfw, gpath, _)| *gfw == fw && stem(gpath) == wstem);
-        let mut files = vec![(wpath, wbytes)];
+            .position(|(gfw, g)| *gfw == fw && stem(&g.name) == wstem);
+        let mut files = vec![weights];
         if let Some(idx) = mate {
-            let (_, gpath, gbytes) = graph_parts.remove(idx);
-            files.push((gpath, gbytes));
+            files.push(graph_parts.remove(idx).1);
         }
-        models.push(FoundModel {
-            framework: fw,
-            files,
-            source,
-        });
+        models.push(FoundModel::new(fw, files, source));
     }
     // Orphaned graph parts (a prototxt without weights) are not models.
     *failed += graph_parts.len();

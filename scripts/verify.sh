@@ -1,8 +1,8 @@
 #!/usr/bin/env sh
 # Tier-1 verification: build + full test suite (see ROADMAP.md), the
-# playstore/core/bench member-crate tests, the concurrency suite re-run
-# single-threaded (and again under each forced pool scheduling mode),
-# the Tiny and Small repro goldens
+# member-crate tests (every member but harness; lint has its own gate
+# below), the concurrency suite re-run single-threaded (and again under
+# each forced pool scheduling mode), the Tiny and Small repro goldens
 # (results/repro_{tiny,small}.txt), a double-repro persistent-cache determinism
 # check, the crash-recovery matrix (SIGKILL at each registered crash
 # point, then --resume must reproduce stdout byte-for-byte), a cache
@@ -37,11 +37,15 @@ verify() {
     run_cargo "$mode" build --release || return 1
     run_cargo "$mode" test -q || return 1
     # The root `cargo test` covers the root package only. The crawl pool,
-    # pipeline and crawler unit tests and the paper-shape assertions in
-    # core's experiments live in member crates, so run those too.
+    # pipeline and crawler unit tests, the paper-shape assertions in
+    # core's experiments, and the leaf crates' unit tests (the md5/crc32
+    # kernels and their `reference` pins among them) live in member
+    # crates, so run those too.
     # (gaugenn-harness stays out until its watchdog test stops flaking.)
     run_cargo "$mode" test -q -p gaugenn-playstore -p gaugenn-core \
-        -p gaugenn-bench || return 1
+        -p gaugenn-bench -p gaugenn-analysis -p gaugenn-apk -p gaugenn-dnn \
+        -p gaugenn-modelfmt -p gaugenn-index -p gaugenn-soc -p gaugenn-sched \
+        -p gaugenn-power || return 1
     # The concurrency suite exercises the sharded crawl pool and the
     # analysis pool's render determinism; re-run it with the test harness
     # single-threaded so pool determinism is also proven without

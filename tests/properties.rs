@@ -115,6 +115,44 @@ proptest! {
     }
 
     #[test]
+    fn word_entropy_sort_matches_reference(
+        narrow in prop::collection::vec(0u32..12, 0..400),
+        wide in prop::collection::vec(any::<u32>(), 0..200),
+        tail in prop::collection::vec(any::<u8>(), 0..4),
+        fill in any::<u32>(),
+        len in 0usize..300,
+    ) {
+        use gaugenn::analysis::stats::{reference, word_entropy};
+        let bits = |bytes: &[u8]| {
+            (word_entropy(bytes).to_bits(), reference::word_entropy(bytes).to_bits())
+        };
+        let to_bytes = |words: &[u32]| -> Vec<u8> {
+            let mut b: Vec<u8> = words.iter().flat_map(|w| w.to_le_bytes()).collect();
+            // Trailing bytes past the last whole word are ignored by both.
+            b.extend_from_slice(&tail);
+            b
+        };
+        // Empty input and fewer than 4 bytes: no whole word at all.
+        for n in 0..4 {
+            let (a, r) = bits(&tail[..n.min(tail.len())]);
+            prop_assert_eq!(a, r);
+        }
+        // Many repeats (a small alphabet), mostly distinct words, and both
+        // mixed, with the trailing bytes appended.
+        for words in [narrow.clone(), wide.clone(), [narrow.clone(), wide.clone()].concat()] {
+            let (a, r) = bits(&to_bytes(&words));
+            prop_assert_eq!(a, r);
+        }
+        // All-equal and all-distinct words.
+        let (a, r) = bits(&to_bytes(&vec![fill; len]));
+        prop_assert_eq!(a, r);
+        let distinct: Vec<u32> =
+            (0..len as u32).map(|i| i.wrapping_mul(0x9E37_79B9) ^ fill).collect();
+        let (a, r) = bits(&to_bytes(&distinct));
+        prop_assert_eq!(a, r);
+    }
+
+    #[test]
     fn md5_block_kernel_matches_reference_at_block_boundaries(
         fill in any::<u8>(),
         delta in 0usize..3,
