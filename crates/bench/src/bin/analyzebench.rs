@@ -36,7 +36,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let (scale, seed) = (args.scale, args.seed);
 
     let server = StoreServer::start(generate(scale, Snapshot::Y2021, seed))?;
-    let mut crawler = Crawler::builder(server.addr()).build()?;
+    let mut crawler = Crawler::builder_at(server.endpoint()).build()?;
     let crawled = crawler.crawl_all()?.apps;
 
     println!(

@@ -8,8 +8,9 @@
 //! cargo run --release -p gaugenn-bench --bin repro -- --reactor sim --connections 64
 //! ```
 //!
-//! `--reactor` pins the store's serving loop *and* the pool's client
-//! transport (sim runs also print their schedule digest on stderr);
+//! `--reactor epoll|sim` pins the store's serving loop, and with it the
+//! pool's client transport, which follows the store's endpoint (sim
+//! runs also print their schedule digest on stderr);
 //! `--connections` sets connections-per-worker for the crawl pool. Both
 //! are stdout-invariant — tables never change, only wall time. Every
 //! option is a flag (see `gaugenn_bench::cli`); a bare positional

@@ -881,7 +881,7 @@ mod tests {
 
     fn crawl_tiny() -> Vec<CrawledApp> {
         let server = StoreServer::start(generate(CorpusScale::Tiny, Snapshot::Y2021, 7)).unwrap();
-        let mut c = Crawler::builder(server.addr()).build().unwrap();
+        let mut c = Crawler::builder_at(server.endpoint()).build().unwrap();
         c.crawl_all().unwrap().apps
     }
 

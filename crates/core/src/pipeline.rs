@@ -91,18 +91,16 @@ pub struct PipelineConfig {
     pub index_dir: Option<PathBuf>,
     /// Which serving loop the store runs (`None` = the `GAUGENN_REACTOR`
     /// environment variable, falling back to the platform default).
-    /// The crawl passes the same choice to the [`CrawlPool`] as its
-    /// *client* transport, so `epoll`/`sim` runs
-    /// are event-driven end to end. Never changes report content — the
+    /// The crawl's client transport follows the store's endpoint — epoll
+    /// lanes for a TCP store, sim lanes for a sim store — so every run
+    /// is event-driven end to end. Never changes report content — the
     /// crawler reaches a sim store through in-process pipes and a TCP
     /// store through sockets, and the report is byte-identical either
     /// way.
     pub reactor: Option<ReactorMode>,
     /// Store connections each crawl worker multiplexes (clamped to a
-    /// minimum of 1). With a non-threaded
-    /// [`Self::reactor`] one worker thread drives all of them as
-    /// non-blocking lanes; the threaded baseline walks them
-    /// sequentially. Never changes report content.
+    /// minimum of 1): one worker thread drives all of them as
+    /// non-blocking lanes. Never changes report content.
     pub connections_per_worker: usize,
 }
 
@@ -253,9 +251,9 @@ impl PipelineConfigBuilder {
         self
     }
 
-    /// Pin the store's serving loop (threaded, epoll or sim) instead of
-    /// resolving it from `GAUGENN_REACTOR`. The crawl runs its client
-    /// connections on the same substrate.
+    /// Pin the store's serving loop (epoll or sim) instead of resolving
+    /// it from `GAUGENN_REACTOR`. The crawl runs its client connections
+    /// on the same substrate.
     pub fn reactor(mut self, mode: ReactorMode) -> PipelineConfigBuilder {
         self.config.reactor = Some(mode);
         self
@@ -599,7 +597,7 @@ impl Pipeline {
                 size_hints: self.config.crawl_size_hints.clone(),
                 resume,
                 connections_per_worker: self.config.connections_per_worker,
-                reactor: self.config.reactor,
+                reactor: None,
             })
             .crawl_at(&server.endpoint())?;
             (pooled.outcome, Some(pooled.admission), pooled.workers)

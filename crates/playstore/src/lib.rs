@@ -52,8 +52,7 @@ pub use pool::{CrawlPool, CrawlPoolConfig, PoolOutcome, WorkerReport};
 pub use query::{QueryClient, QueryClientBuilder, QuerySwarm, SwarmReplay};
 pub use reactor::{ReactorMode, Served, REACTOR_ENV};
 pub use reactor_client::{
-    drive_lanes, nonblocking_tcp_available, DriveReport, LaneJob, LaneOpts, LaneOutcome, LaneSpec,
-    RouteListJob,
+    drive_lanes, DriveReport, LaneJob, LaneOpts, LaneOutcome, LaneSpec, RouteListJob,
 };
 pub use route::Route;
 pub use server::{LockstepServer, ServerOptions, StoreServer};

@@ -4,11 +4,12 @@
 //! threads. Each worker owns its own connections (its own connection
 //! ids, its own retry/backoff jitter streams) and walks its categories
 //! with one `CrawlLaneJob` per connection — the crate's one crawl walk
-//! — driven either by a blocking [`Crawler`] or by non-blocking reactor
-//! lanes ([`CrawlPoolConfig::reactor`]). One worker is the sequential
-//! crawl. Which worker crawls which category is decided **before any
-//! worker thread starts** by the shared deterministic scheduler in
-//! [`gaugenn_sched`]:
+//! — driven as non-blocking lanes over one readiness loop per worker.
+//! The loop's substrate follows the endpoint: kernel epoll for a TCP
+//! store, the deterministic sim reactor for a sim store. One worker is
+//! the sequential crawl. Which worker crawls which category is decided
+//! **before any worker thread starts** by the shared deterministic
+//! scheduler in [`gaugenn_sched`]:
 //!
 //! * [`SchedMode::Static`] reproduces the original `index % workers`
 //!   partition;
@@ -98,21 +99,16 @@ pub struct CrawlPoolConfig {
     /// [`CrawlStats::journal_restores`]. The corpus order is unchanged
     /// because the listing still drives iteration.
     pub resume: Option<Arc<BTreeMap<String, CrawledApp>>>,
-    /// Connections each worker multiplexes (clamped to a minimum of 1).
-    /// With the threaded client this many blocking connections are
-    /// driven *sequentially* per worker (the determinism baseline); with
-    /// a reactor client one worker thread drives them all concurrently
-    /// as non-blocking lanes. Lane `j` of worker `w` always announces
-    /// connection id `w·C + j + 1`, so the corpus and the merged
-    /// counters are byte-identical across client modes at any fixed
-    /// `(workers, connections_per_worker)` topology.
+    /// Connections each worker multiplexes (clamped to a minimum of 1):
+    /// one worker thread drives them all concurrently as non-blocking
+    /// lanes. Lane `j` of worker `w` always announces connection id
+    /// `w·C + j + 1`, so the merged counters are byte-identical across
+    /// substrates at any fixed `(workers, connections_per_worker)`
+    /// topology, and the corpus at any topology.
     pub connections_per_worker: usize,
-    /// Client transport override. `None` resolves `GAUGENN_REACTOR` and
-    /// falls back to the threaded (blocking) client. Any non-threaded
-    /// choice runs the worker's connections as non-blocking lanes on the
-    /// substrate the endpoint dictates: kernel epoll for TCP (falling
-    /// back to threaded where epoll is unavailable), the deterministic
-    /// sim reactor for sim endpoints.
+    /// Unused: the client transport follows the endpoint (TCP → epoll,
+    /// sim → sim), so this field selects nothing. It stays only so
+    /// struct-literal callers keep compiling.
     pub reactor: Option<ReactorMode>,
 }
 
@@ -174,13 +170,11 @@ pub struct PoolOutcome {
     pub workers: usize,
     /// Scheduling mode the shards were assigned under.
     pub sched: SchedMode,
-    /// Client transport the workers actually ran (after fallbacks):
-    /// `Threaded` for blocking connections, `Epoll`/`Sim` for
-    /// non-blocking lanes on the respective substrate.
+    /// Substrate the workers' lanes ran on: `Epoll` for a TCP endpoint,
+    /// `Sim` for a sim endpoint.
     pub reactor: ReactorMode,
-    /// Most connections any single worker held in flight at once —
-    /// `connections_per_worker` when the reactor client saturates, 1 on
-    /// the blocking baseline.
+    /// Most connections any single worker held in flight at once — up
+    /// to `connections_per_worker` when the lanes saturate.
     pub peak_in_flight: usize,
 }
 
@@ -200,7 +194,7 @@ fn lane_split(shard: &[usize], lanes: usize) -> Vec<Vec<usize>> {
     out
 }
 
-/// The crawl walk over one lane's categories, whichever driver runs it.
+/// The crawl walk over one lane's categories.
 fn lane_job(config: &CrawlPoolConfig, categories: &[String], lane: &[usize]) -> CrawlLaneJob {
     CrawlLaneJob::new(
         lane.iter().map(|&i| (i, categories[i].clone())).collect(),
@@ -209,47 +203,8 @@ fn lane_job(config: &CrawlPoolConfig, categories: &[String], lane: &[usize]) -> 
     )
 }
 
-/// The blocking client: drive this worker's lanes *sequentially*, one
-/// keep-alive connection each — the baseline every reactor mode must
-/// byte-match at the same `(workers, connections_per_worker)` topology.
-fn crawl_shard_blocking(
-    endpoint: &Endpoint,
-    config: &CrawlPoolConfig,
-    admission: &Arc<AdmissionController>,
-    categories: &[String],
-    w: usize,
-    lanes: &[Vec<usize>],
-) -> Result<WorkerYield> {
-    let conns = lanes.len();
-    let mut shards = Vec::new();
-    let mut stats = CrawlStats::default();
-    let mut active = 0usize;
-    for (j, lane) in lanes.iter().enumerate() {
-        // A single-connection worker keeps the historical eager dial even
-        // when idle; extra lanes only dial when they have work (parity
-        // with reactor lanes, which connect lazily).
-        if conns > 1 && lane.is_empty() {
-            continue;
-        }
-        let mut crawler = Crawler::builder_at(endpoint.clone())
-            .config(config.crawler.clone())
-            .retry(config.retry.clone())
-            .connection_id((w * conns + j) as u64 + 1)
-            .admission(Arc::clone(admission))
-            .build()?;
-        if !lane.is_empty() {
-            active = 1;
-        }
-        let mut job = lane_job(config, categories, lane);
-        crawler.run_job(&mut job);
-        shards.extend(job.into_shards());
-        stats.merge(crawler.stats());
-    }
-    Ok((shards, stats, active))
-}
-
-/// The reactor client: one worker thread drives all its lanes
-/// concurrently as non-blocking state machines over one readiness loop.
+/// One worker's crawl: its thread drives all its lanes concurrently as
+/// non-blocking state machines over one readiness loop.
 fn crawl_shard_lanes(
     endpoint: &Endpoint,
     config: &CrawlPoolConfig,
@@ -342,30 +297,13 @@ impl CrawlPool {
         self.crawl_at(&Endpoint::Tcp(addr))
     }
 
-    /// The client transport this pool will actually run against
-    /// `endpoint`: the explicit override, else `GAUGENN_REACTOR`, else
-    /// the blocking baseline. A non-threaded choice is mapped onto the
-    /// substrate the endpoint supports — sim endpoints always get the
-    /// deterministic sim reactor, TCP endpoints get kernel epoll when the
-    /// platform has it and fall back to threaded otherwise.
-    fn resolve_reactor(&self, endpoint: &Endpoint) -> ReactorMode {
-        let wanted = self
-            .config
-            .reactor
-            .or_else(ReactorMode::from_env)
-            .unwrap_or(ReactorMode::Threaded);
-        if wanted == ReactorMode::Threaded {
-            return ReactorMode::Threaded;
-        }
+    /// The substrate the lanes run on, which the endpoint dictates: a
+    /// TCP store is served only where epoll exists, so TCP gets epoll
+    /// and a sim store gets the deterministic sim reactor.
+    fn resolve_reactor(endpoint: &Endpoint) -> ReactorMode {
         match endpoint {
+            Endpoint::Tcp(_) => ReactorMode::Epoll,
             Endpoint::Sim(_) => ReactorMode::Sim,
-            Endpoint::Tcp(_) => {
-                if crate::reactor_client::nonblocking_tcp_available() {
-                    ReactorMode::Epoll
-                } else {
-                    ReactorMode::Threaded
-                }
-            }
         }
     }
 
@@ -375,7 +313,7 @@ impl CrawlPool {
     pub fn crawl_at(&self, endpoint: &Endpoint) -> Result<PoolOutcome> {
         let workers = self.config.workers.max(1);
         let conns = self.config.connections_per_worker.max(1);
-        let mode = self.resolve_reactor(endpoint);
+        let mode = Self::resolve_reactor(endpoint);
         let admission = Arc::new(AdmissionController::new(self.config.admission.clone()));
 
         let mut bootstrap = Crawler::builder_at(endpoint.clone())
@@ -400,13 +338,8 @@ impl CrawlPool {
                     let admission = &admission;
                     let categories = &categories[..];
                     let config = &self.config;
-                    scope.spawn(move || match mode {
-                        ReactorMode::Threaded => {
-                            crawl_shard_blocking(endpoint, config, admission, categories, w, &lanes)
-                        }
-                        ReactorMode::Epoll | ReactorMode::Sim => {
-                            crawl_shard_lanes(endpoint, config, admission, categories, w, &lanes)
-                        }
+                    scope.spawn(move || {
+                        crawl_shard_lanes(endpoint, config, admission, categories, w, &lanes)
                     })
                 })
                 .collect();
@@ -588,38 +521,42 @@ mod tests {
         assert_eq!(fanned.outcome.apps, one.outcome.apps);
         assert_eq!(fanned.outcome.dropouts, one.outcome.dropouts);
         assert_eq!(fanned.outcome.stats, one.outcome.stats);
-        assert_eq!(fanned.reactor, ReactorMode::Threaded);
+        assert_eq!(fanned.reactor, ReactorMode::Epoll);
         assert_eq!(fanned.per_worker[1].connection_id, 4, "lane block w·C + 1");
+    }
+
+    /// One blocking connection's sequential walk over `endpoint`: the
+    /// reference corpus and drop-out ledger every pooled crawl must merge
+    /// to.
+    fn blocking_reference(endpoint: &Endpoint) -> CrawlOutcome {
+        Crawler::builder_at(endpoint.clone())
+            .build()
+            .unwrap()
+            .crawl_all()
+            .unwrap()
     }
 
     #[cfg(target_os = "linux")]
     #[test]
     fn epoll_lanes_match_the_blocking_baseline() {
         let server = start_tiny();
-        let config = CrawlPoolConfig {
+        let reference = blocking_reference(&server.endpoint());
+        let epoll = CrawlPool::new(CrawlPoolConfig {
             workers: 2,
             sched: SchedMode::Lpt,
             connections_per_worker: 4,
             ..CrawlPoolConfig::default()
-        };
-        let threaded = CrawlPool::new(config.clone()).crawl(server.addr()).unwrap();
-        let epoll = CrawlPool::new(CrawlPoolConfig {
-            reactor: Some(ReactorMode::Epoll),
-            ..config
         })
         .crawl(server.addr())
         .unwrap();
         assert_eq!(epoll.reactor, ReactorMode::Epoll);
-        assert_eq!(epoll.outcome.apps, threaded.outcome.apps);
-        assert_eq!(epoll.outcome.dropouts, threaded.outcome.dropouts);
-        assert_eq!(epoll.outcome.stats, threaded.outcome.stats);
-        assert_eq!(epoll.per_worker, threaded.per_worker);
+        assert_eq!(epoll.outcome.apps, reference.apps);
+        assert_eq!(epoll.outcome.dropouts, reference.dropouts);
         assert!(
             epoll.peak_in_flight > 1,
             "reactor worker multiplexes its lanes, got peak {}",
             epoll.peak_in_flight
         );
-        assert_eq!(threaded.peak_in_flight, 1, "blocking baseline is serial");
     }
 
     #[test]
@@ -633,26 +570,18 @@ mod tests {
             },
         )
         .unwrap();
-        let config = CrawlPoolConfig {
+        let reference = blocking_reference(&server.endpoint());
+        let sim = CrawlPool::new(CrawlPoolConfig {
             workers: 2,
             sched: SchedMode::Lpt,
             connections_per_worker: 4,
             ..CrawlPoolConfig::default()
-        };
-        let threaded = CrawlPool::new(config.clone())
-            .crawl_at(&server.endpoint())
-            .unwrap();
-        let sim = CrawlPool::new(CrawlPoolConfig {
-            reactor: Some(ReactorMode::Sim),
-            ..config
         })
         .crawl_at(&server.endpoint())
         .unwrap();
         assert_eq!(sim.reactor, ReactorMode::Sim);
-        assert_eq!(sim.outcome.apps, threaded.outcome.apps);
-        assert_eq!(sim.outcome.dropouts, threaded.outcome.dropouts);
-        assert_eq!(sim.outcome.stats, threaded.outcome.stats);
-        assert_eq!(sim.per_worker, threaded.per_worker);
+        assert_eq!(sim.outcome.apps, reference.apps);
+        assert_eq!(sim.outcome.dropouts, reference.dropouts);
         assert!(sim.peak_in_flight > 1, "got peak {}", sim.peak_in_flight);
     }
 

@@ -143,15 +143,15 @@ impl QueryClient {
 /// of reactor-driven threads — the event-driven counterpart of opening
 /// `connections` blocking [`QueryClient`]s.
 ///
-/// The swarm replays a route stream with the same round-robin discipline
-/// the blocking load generators use: stream index `i` is issued by
+/// The swarm replays a route stream round-robin: stream index `i` is issued by
 /// connection `i % connections` as its `⌊i / connections⌋`-th request,
 /// connection `c` announces connection id `c` and jitters its backoff
 /// with `jitter_seed ^ c`. Because each lane's request history is then
-/// identical to the matching blocking client's, the response bytes *and*
-/// the per-connection resilience counters are byte-identical to the
-/// threaded baseline — calm or under chaos — while one driver thread
-/// holds every one of its lanes in flight at once.
+/// identical to that of a blocking [`QueryClient`] built with the same
+/// connection id and jitter seed, the response bytes *and* the
+/// per-connection resilience counters are byte-identical to such a
+/// fleet of blocking clients — calm or under chaos — while one driver
+/// thread holds every one of its lanes in flight at once.
 pub struct QuerySwarm {
     endpoint: Endpoint,
     config: CrawlerConfig,
@@ -244,7 +244,7 @@ impl QuerySwarm {
         let conns = self.connections;
         let drivers = self.drivers.min(conns);
         // Driver d owns lanes d, d+D, …; lane c owns stream indices
-        // c, c+C, … — the blocking generators' round-robin split.
+        // c, c+C, … — the round-robin split of the type docs.
         let mut plans: Vec<Vec<LaneSpec<RouteListJob>>> = (0..drivers).map(|_| Vec::new()).collect();
         for c in 0..conns {
             let lane_routes: Vec<(Route, bool)> = routes

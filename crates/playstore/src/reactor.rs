@@ -1,12 +1,13 @@
 //! Event-driven store serving: readiness loops and the per-connection
 //! state machine.
 //!
-//! The thread-per-connection server caps out quickly — `BENCH_query.json`
-//! shows QPS peaking at 8 clients and *collapsing* at 256 as the scheduler
-//! drowns in runnable threads. This module is the C10k-shaped fix: one
-//! loop thread multiplexes every connection over a readiness reactor
-//! (vendored in `mio`), with each connection reduced to a small
-//! non-blocking state machine ([`ConnSm`]):
+//! A thread-per-connection server caps out quickly — `BENCH_query.json`
+//! recorded the retired threaded loop peaking at 8 clients and
+//! *collapsing* at 256 as the scheduler drowned in runnable threads.
+//! This module is the C10k-shaped fix: one loop thread multiplexes every
+//! connection over a readiness reactor (vendored in `mio`), with each
+//! connection reduced to a small non-blocking state machine
+//! ([`ConnSm`]):
 //!
 //! ```text
 //!            accept                 frame parsed          frame queued
@@ -21,10 +22,8 @@
 //! synchronously by the route table — so the code models it as the parse
 //! loop inside [`ConnSm::pump`] rather than a stored state.)
 //!
-//! Three loops implement the same serving contract:
+//! Two loops implement the same serving contract:
 //!
-//! * **threaded** — the legacy blocking path, kept as the measurable
-//!   baseline and the non-Linux fallback ([`ReactorMode::Threaded`]).
 //! * **epoll** — [`run_epoll_loop`]: kernel readiness over non-blocking
 //!   TCP, timer wheel on wall milliseconds for chaos stalls and idle
 //!   keep-alive reaping.
@@ -34,7 +33,8 @@
 //!   logical clock that advances only in observable steps (one tick per
 //!   delivered round, jump-to-next-deadline when idle). Under a scripted
 //!   client history the full event stream — captured by the reactor's
-//!   running FNV digest — replays bit-for-bit.
+//!   running FNV digest — replays bit-for-bit. It is also the portable
+//!   fallback wherever the kernel offers no epoll.
 //!
 //! The determinism contract: response *bytes* for a given request depend
 //! only on (corpus, index, chaos plan, request) — never on which loop or
@@ -51,12 +51,14 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-/// Environment variable selecting the server's reactor:
-/// `threaded` | `epoll` | `sim`.
+/// Environment variable selecting the server's reactor: `epoll` | `sim`.
 pub const REACTOR_ENV: &str = "GAUGENN_REACTOR";
 
-/// Idle keep-alive reap deadline (epoll loop only — matches the 10 s read
-/// timeout the threaded path puts on each connection socket). The sim
+/// Idle keep-alive reap deadline (epoll loop only). A client that holds a
+/// connection open but silent for this long has gone away without a
+/// FIN; reaping it bounds the loop's slab, and 10 s is well past any
+/// backoff or breaker wait a live client sits out between requests. The
+/// sim
 /// loop deliberately has no idle reaper: logical time there advances with
 /// traffic, so an idle timer would close connections after N *events*
 /// rather than N seconds and make crawl reconnect counts
@@ -66,10 +68,8 @@ const IDLE_REAP_MS: u64 = 10_000;
 /// Which serving loop a [`crate::StoreServer`] runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ReactorMode {
-    /// Legacy thread-per-connection over blocking sockets.
-    Threaded,
     /// Single-threaded epoll readiness loop over non-blocking TCP
-    /// (Linux; falls back to [`ReactorMode::Threaded`] elsewhere).
+    /// (Linux; the server falls back to [`ReactorMode::Sim`] elsewhere).
     Epoll,
     /// Deterministic in-process reactor over simulated pipes; the server
     /// is reachable via [`crate::StoreServer::endpoint`] only (no TCP).
@@ -78,11 +78,9 @@ pub enum ReactorMode {
 
 impl ReactorMode {
     /// Parse a mode name (as used in `GAUGENN_REACTOR` and bench
-    /// `--reactor` flags). Accepts `threaded`/`thread`/`legacy`,
-    /// `epoll`, `sim`.
+    /// `--reactor` flags). Accepts `epoll` and `sim`.
     pub fn parse(s: &str) -> Option<ReactorMode> {
         match s.trim().to_ascii_lowercase().as_str() {
-            "threaded" | "thread" | "legacy" => Some(ReactorMode::Threaded),
             "epoll" => Some(ReactorMode::Epoll),
             "sim" => Some(ReactorMode::Sim),
             _ => None,
@@ -94,13 +92,12 @@ impl ReactorMode {
         std::env::var(REACTOR_ENV).ok().and_then(|v| ReactorMode::parse(&v))
     }
 
-    /// Platform default: epoll where the kernel offers it, threaded
-    /// elsewhere.
+    /// Platform default: epoll on Linux, the sim loop elsewhere.
     pub fn default_mode() -> ReactorMode {
         if cfg!(target_os = "linux") {
             ReactorMode::Epoll
         } else {
-            ReactorMode::Threaded
+            ReactorMode::Sim
         }
     }
 
@@ -115,7 +112,6 @@ impl ReactorMode {
     /// Stable lower-case name (bench JSON `reactor` column).
     pub fn name(self) -> &'static str {
         match self {
-            ReactorMode::Threaded => "threaded",
             ReactorMode::Epoll => "epoll",
             ReactorMode::Sim => "sim",
         }
@@ -133,7 +129,8 @@ pub enum Served {
     FrameThenClose(Vec<u8>),
     /// Close without writing a byte of this response (chaos reset).
     /// Responses already queued for earlier pipelined requests still
-    /// flush first — the blocking path had already written them.
+    /// flush first: the client sent those requests before the reset
+    /// one, and each answer is independent of what follows it.
     Reset,
     /// Go silent for `ms` (logical ms under sim), then close. The client
     /// sees a read timeout or EOF, whichever lands first.
@@ -268,8 +265,10 @@ impl<T: NonBlockingIo> ConnSm<T> {
         loop {
             // Flush phase: responses already queued go out first, in
             // order — chaos close/stall decisions apply only after
-            // earlier pipelined responses are on the wire, matching the
-            // blocking path which wrote each frame before reading on.
+            // earlier pipelined responses are on the wire, so a fault
+            // hits exactly the request it was decided for and the
+            // client's per-request history is the same however many
+            // requests it pipelined.
             while self.written < self.write_buf.len() {
                 match self.io.try_write(&self.write_buf[self.written..]) {
                     Ok(0) => return PumpOutcome::Close,
@@ -321,8 +320,8 @@ impl<T: NonBlockingIo> ConnSm<T> {
                     }
                     Ok(None) => break,
                     Err(_) => {
-                        // Malformed head: the blocking path errors out of
-                        // the connection; we close after flushing
+                        // Malformed head: the stream cannot be
+                        // re-synchronised, so close after flushing
                         // whatever was already queued.
                         self.close_after_flush = true;
                         break;
@@ -482,8 +481,9 @@ fn on_timer<T: NonBlockingIo>(
 }
 
 /// The epoll readiness loop: one thread, every connection. Returns when
-/// `stop` is raised or the reactor fails fatally (callers fall back to
-/// the threaded path on construction errors before spawning this).
+/// `stop` is raised or the reactor fails fatally (the server probes
+/// epoll before spawning this and starts the sim loop instead when
+/// construction fails).
 #[cfg(target_os = "linux")]
 pub(crate) fn run_epoll_loop<F>(
     listener: TcpListener,
@@ -567,7 +567,7 @@ where
 /// `run_sim_loop` body — poll, advance the logical clock, fire timers,
 /// dispatch readiness — so a single-threaded lockstep harness (the
 /// non-blocking crawl client's replay mode) can interleave server steps
-/// with client steps deterministically, while the threaded sim server
+/// with client steps deterministically, while a free-running sim server
 /// keeps its own loop thread by calling `step` until stopped.
 pub(crate) struct SimServerLoop<F> {
     net: SimNet,
@@ -794,8 +794,8 @@ mod tests {
     #[test]
     fn reset_flushes_earlier_responses_then_closes() {
         // Pipelined: first request answered, second hits a chaos reset.
-        // The first response must still reach the wire (the blocking path
-        // wrote it before reading the second request).
+        // The first response must still reach the wire: it answers a
+        // request sent before the reset one.
         let stream = two_request_stream();
         let mut calls = 0;
         let mut sm = ConnSm::new(
@@ -873,7 +873,8 @@ mod tests {
     fn mode_parsing_and_resolution() {
         assert_eq!(ReactorMode::parse("epoll"), Some(ReactorMode::Epoll));
         assert_eq!(ReactorMode::parse(" SIM \n"), Some(ReactorMode::Sim));
-        assert_eq!(ReactorMode::parse("legacy"), Some(ReactorMode::Threaded));
+        assert_eq!(ReactorMode::parse("legacy"), None);
+        assert_eq!(ReactorMode::parse("threaded"), None);
         assert_eq!(ReactorMode::parse("uring"), None);
         assert_eq!(
             ReactorMode::resolve(Some(ReactorMode::Sim)),
@@ -883,6 +884,8 @@ mod tests {
         assert_eq!(ReactorMode::Epoll.name(), "epoll");
         if cfg!(target_os = "linux") {
             assert_eq!(ReactorMode::default_mode(), ReactorMode::Epoll);
+        } else {
+            assert_eq!(ReactorMode::default_mode(), ReactorMode::Sim);
         }
     }
 }

@@ -621,15 +621,6 @@ pub struct DriveReport {
     pub digest: u64,
 }
 
-/// Whether this host can drive non-blocking lanes against a TCP
-/// endpoint (sim endpoints always can, on their deterministic reactor).
-/// Callers that want the event-driven client with a graceful threaded
-/// fallback — the pool, the benches — probe this instead of letting
-/// [`drive_lanes`] fail.
-pub fn nonblocking_tcp_available() -> bool {
-    mio::EpollReactor::new().is_ok()
-}
-
 /// The readiness substrate a lane set runs on.
 enum ClientReactor {
     Epoll(mio::EpollReactor),
@@ -1030,10 +1021,11 @@ fn on_lane_event<J: LaneJob>(lane: &mut ClientSm<J>, ctx: &mut DriverCtx<'_>, to
 /// Drive a set of [`ClientSm`] lanes to completion over one readiness
 /// loop — the non-blocking replacement for one-thread-per-connection.
 ///
-/// The substrate follows the endpoint: TCP endpoints run on kernel epoll
-/// (Linux; construction fails elsewhere so callers can fall back to the
-/// threaded path), sim endpoints on the seeded deterministic
-/// [`mio::SimReactor`]. With `server_step` the driver runs in *lockstep*
+/// The substrate follows the endpoint: TCP endpoints run on kernel epoll,
+/// sim endpoints on the seeded deterministic [`mio::SimReactor`]. A
+/// [`crate::StoreServer`] exposes a TCP endpoint only where epoll exists
+/// (elsewhere it falls back to the sim loop), so the endpoint a server
+/// hands out is always one this driver can dial. With `server_step` the driver runs in *lockstep*
 /// against an in-process steppable sim server: each round first drains
 /// the server, then polls the client reactor with a zero timeout — no
 /// threads, no wall clock, so the full multi-connection schedule (event

@@ -1,5 +1,6 @@
 //! The store server: serves category listings, app metadata, APKs, OBBs
-//! and bundles over TCP.
+//! and bundles — over loopback TCP on the epoll loop, or over in-process
+//! pipes on the deterministic sim loop.
 //!
 //! APKs are assembled on demand; unique-model artifacts are memoised so
 //! duplicated models across apps are byte-identical (which is precisely
@@ -9,8 +10,8 @@ use crate::chaos::{FaultAction, FaultPlan};
 use crate::corpus::{AppSpec, ModelMemo, StoreCorpus};
 use crate::net::{Endpoint, SimNet};
 use crate::proto::{
-    read_request, write_response, Request, Response, CONNECTION_ID_HEADER, CRC_HEADER,
-    FULL_CRC_HEADER, RANGE_START_HEADER,
+    write_response, Request, Response, CONNECTION_ID_HEADER, CRC_HEADER, FULL_CRC_HEADER,
+    RANGE_START_HEADER,
 };
 use crate::reactor::{ReactorMode, Served};
 use crate::route::Route;
@@ -20,8 +21,7 @@ use gaugenn_apk::bundle::{AssetPack, BundleBuilder, Delivery};
 use gaugenn_apk::obb::{build_obb, ObbKind};
 use gaugenn_index::{wire, CorpusIndex};
 use mio::{Parker, SimReactor};
-use std::io::BufReader;
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::SocketAddr;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -43,7 +43,9 @@ pub struct ServerOptions {
     /// interleaving (the determinism contract).
     pub index: Option<Arc<CorpusIndex>>,
     /// Serving loop override. `None` resolves via `GAUGENN_REACTOR`, then
-    /// the platform default (epoll on Linux, threaded elsewhere).
+    /// the platform default (epoll on Linux, sim elsewhere). Epoll falls
+    /// back to sim wherever the kernel offers no epoll, so a TCP endpoint
+    /// exists only where epoll does.
     pub reactor: Option<ReactorMode>,
     /// Seed for the sim reactor's delivery-order rotation (and thus its
     /// event digest). Ignored by the other modes.
@@ -100,14 +102,11 @@ pub struct StoreServer {
 /// connect timeout. The raw `listen(2)` re-call lives in the vendored
 /// reactor shim (this crate forbids `unsafe`); errors are harmless and
 /// ignored.
-#[cfg(unix)]
-fn widen_backlog(listener: &TcpListener) {
+#[cfg(target_os = "linux")]
+fn widen_backlog(listener: &std::net::TcpListener) {
     use std::os::fd::AsRawFd;
     mio::widen_backlog(listener.as_raw_fd(), 4096);
 }
-
-#[cfg(not(unix))]
-fn widen_backlog(_listener: &TcpListener) {}
 
 impl StoreServer {
     /// Start serving `corpus` on an ephemeral loopback port.
@@ -134,11 +133,12 @@ impl StoreServer {
         let mode = ReactorMode::resolve(options.reactor);
         let stop = Arc::new(AtomicBool::new(false));
         let shared = Shared::new(corpus, options.chaos, options.index);
-        match mode {
-            ReactorMode::Sim => Ok(Self::start_sim(shared, stop, options.reactor_seed)),
-            ReactorMode::Epoll => Self::start_epoll(shared, stop),
-            ReactorMode::Threaded => Self::start_threaded(shared, stop),
+        if mode == ReactorMode::Epoll {
+            if let Some(server) = Self::start_epoll(&shared, &stop)? {
+                return Ok(server);
+            }
         }
+        Ok(Self::start_sim(shared, stop, options.reactor_seed))
     }
 
     fn start_sim(shared: Arc<Shared>, stop: Arc<AtomicBool>, seed: u64) -> StoreServer {
@@ -167,79 +167,45 @@ impl StoreServer {
         }
     }
 
+    /// The epoll loop over a loopback listener, or `None` where the
+    /// kernel offers no epoll (the caller then starts the sim loop).
     #[cfg(target_os = "linux")]
-    fn start_epoll(shared: Arc<Shared>, stop: Arc<AtomicBool>) -> Result<StoreServer> {
-        // Probe epoll availability up front so a sandboxed kernel falls
-        // back to the threaded loop instead of dying on the loop thread.
+    fn start_epoll(shared: &Arc<Shared>, stop: &Arc<AtomicBool>) -> Result<Option<StoreServer>> {
+        // Probe epoll up front so a sandboxed kernel falls back to the
+        // sim loop instead of dying on the loop thread.
         if mio::EpollReactor::new().is_err() {
-            return Self::start_threaded(shared, stop);
+            return Ok(None);
         }
-        let listener = TcpListener::bind(("127.0.0.1", 0))?;
+        let listener = std::net::TcpListener::bind(("127.0.0.1", 0))?;
         widen_backlog(&listener);
         let addr = listener.local_addr()?;
-        let t_shared = Arc::clone(&shared);
-        let t_stop = Arc::clone(&stop);
+        let t_shared = Arc::clone(shared);
+        let t_stop = Arc::clone(stop);
         let accept_thread = std::thread::spawn(move || {
             let _ = crate::reactor::run_epoll_loop(listener, t_stop, move |req| {
                 serve_request(&t_shared, req)
             });
         });
-        Ok(StoreServer {
+        Ok(Some(StoreServer {
             addr,
             endpoint: Endpoint::Tcp(addr),
             mode: ReactorMode::Epoll,
-            stop,
-            shared,
+            stop: Arc::clone(stop),
+            shared: Arc::clone(shared),
             accept_thread: Some(accept_thread),
             parker: None,
             digest: None,
-        })
+        }))
     }
 
     #[cfg(not(target_os = "linux"))]
-    fn start_epoll(shared: Arc<Shared>, stop: Arc<AtomicBool>) -> Result<StoreServer> {
-        Self::start_threaded(shared, stop)
+    fn start_epoll(_shared: &Arc<Shared>, _stop: &Arc<AtomicBool>) -> Result<Option<StoreServer>> {
+        Ok(None)
     }
 
-    fn start_threaded(shared: Arc<Shared>, stop: Arc<AtomicBool>) -> Result<StoreServer> {
-        let listener = TcpListener::bind(("127.0.0.1", 0))?;
-        widen_backlog(&listener);
-        let addr = listener.local_addr()?;
-        listener.set_nonblocking(true)?;
-        let t_stop = stop.clone();
-        let t_shared = shared.clone();
-        let accept_thread = std::thread::spawn(move || {
-            while !t_stop.load(Ordering::Relaxed) {
-                match listener.accept() {
-                    Ok((stream, _)) => {
-                        let conn_shared = t_shared.clone();
-                        let conn_stop = t_stop.clone();
-                        std::thread::spawn(move || {
-                            let _ = handle_connection(stream, &conn_shared, &conn_stop);
-                        });
-                    }
-                    Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                        std::thread::sleep(Duration::from_millis(2));
-                    }
-                    Err(_) => break,
-                }
-            }
-        });
-        Ok(StoreServer {
-            addr,
-            endpoint: Endpoint::Tcp(addr),
-            mode: ReactorMode::Threaded,
-            stop,
-            shared,
-            accept_thread: Some(accept_thread),
-            parker: None,
-            digest: None,
-        })
-    }
-
-    /// Address to point the crawler at. Only meaningful for TCP-backed
-    /// modes (threaded/epoll); sim servers are reachable via
-    /// [`StoreServer::endpoint`] alone.
+    /// Address to point the crawler at. Only meaningful under epoll;
+    /// sim servers (including the fallback on hosts without epoll) are
+    /// reachable via [`StoreServer::endpoint`] alone.
     pub fn addr(&self) -> SocketAddr {
         self.addr
     }
@@ -362,8 +328,8 @@ fn frame_of(resp: &Response) -> Vec<u8> {
 }
 
 /// Answer one request: route dispatch, range resume, integrity header and
-/// the chaos decision, reduced to a [`Served`] verdict every serving loop
-/// (threaded, epoll, sim) executes identically. This is *the* place
+/// the chaos decision, reduced to a [`Served`] verdict both serving loops
+/// (epoll, sim) execute identically. This is *the* place
 /// response bytes are decided — which is what makes them a pure function
 /// of (corpus, index, chaos plan, request), independent of the loop and
 /// of event interleaving.
@@ -435,40 +401,6 @@ fn serve_request(shared: &Shared, req: &Request) -> Served {
             Served::Frame(frame_of(&resp))
         }
     }
-}
-
-fn handle_connection(stream: TcpStream, shared: &Shared, stop: &AtomicBool) -> Result<()> {
-    stream.set_read_timeout(Some(Duration::from_secs(10)))?;
-    // Responses are written as several small frames; without TCP_NODELAY
-    // Nagle + delayed-ACK add ~40 ms to every request on loopback.
-    stream.set_nodelay(true)?;
-    let mut reader = BufReader::new(stream.try_clone()?);
-    let mut writer = std::io::BufWriter::new(stream);
-    use std::io::Write;
-    while !stop.load(Ordering::Relaxed) {
-        let Some(req) = read_request(&mut reader)? else {
-            return Ok(()); // client closed keep-alive
-        };
-        match serve_request(shared, &req) {
-            Served::Frame(frame) => {
-                writer.write_all(&frame)?;
-                writer.flush()?;
-            }
-            Served::FrameThenClose(frame) => {
-                writer.write_all(&frame)?;
-                writer.flush()?;
-                return Ok(()); // close mid-frame
-            }
-            Served::Reset => return Ok(()), // close without a byte
-            Served::Stall { ms } => {
-                // Hold the socket silent, then close: the client sees a
-                // read timeout or an EOF mid-response, whichever first.
-                std::thread::sleep(Duration::from_millis(ms));
-                return Ok(());
-            }
-        }
-    }
-    Ok(())
 }
 
 fn route(shared: &Shared, req: &Request, route: &Route) -> Response {
@@ -596,6 +528,8 @@ mod tests {
     use super::*;
     use crate::corpus::{generate, CorpusScale, Snapshot};
     use crate::proto::{read_response, write_request};
+    use std::io::BufReader;
+    use std::net::TcpStream;
 
     fn start_tiny() -> StoreServer {
         let corpus = generate(CorpusScale::Tiny, Snapshot::Y2021, 7);

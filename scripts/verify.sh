@@ -11,8 +11,8 @@
 # the reactor gate (readiness-replay determinism plus sim/epoll digest
 # equality up to 256 connections), the client-reactor gate (lockstep
 # multi-connection replay pinned by name, sim crawls byte-stable across
-# runs, epoll/threaded/sim client transports rendering one report), the
-# gaugelint and lock-order gates, and workspace clippy.
+# runs, the default, epoll and sim client transports rendering one
+# report), the gaugelint and lock-order gates, and workspace clippy.
 #
 # Works without network access: if the registry is unreachable, cargo is
 # retried in --offline mode (using whatever is already vendored/cached).
@@ -200,8 +200,8 @@ verify() {
     # The full pipeline over the non-blocking client: a sim-reactor
     # multi-connection crawl run twice must print byte-identical tables
     # (the free-running readiness schedule may differ — stdout must not),
-    # and the epoll and threaded client transports must render the same
-    # PipelineReport.
+    # and the default run (no --reactor), a 64-connection epoll run and
+    # the sim run must render the same PipelineReport.
     pool_out="target/verify-pool.$$"
     run_cargo "$mode" run --release -q -p gaugenn-bench --bin repro \
         -- --scale tiny --seed 1402 --workers 2 --reactor sim --connections 64 \
@@ -224,21 +224,21 @@ verify() {
         -- --scale tiny --seed 1402 --workers 2 --reactor epoll --connections 64 \
         >"$pool_out.epoll.out" 2>/dev/null || return 1
     run_cargo "$mode" run --release -q -p gaugenn-bench --bin repro \
-        -- --scale tiny --seed 1402 --workers 2 --reactor legacy \
-        >"$pool_out.threaded.out" 2>/dev/null || return 1
-    if ! cmp -s "$pool_out.epoll.out" "$pool_out.threaded.out"; then
-        echo "verify: epoll and threaded client transports rendered different reports" >&2
-        diff "$pool_out.epoll.out" "$pool_out.threaded.out" | head -20 >&2
+        -- --scale tiny --seed 1402 --workers 2 \
+        >"$pool_out.default.out" 2>/dev/null || return 1
+    if ! cmp -s "$pool_out.default.out" "$pool_out.epoll.out"; then
+        echo "verify: default and epoll client transports rendered different reports" >&2
+        diff "$pool_out.default.out" "$pool_out.epoll.out" | head -20 >&2
         return 1
     fi
-    if ! cmp -s "$pool_out.sim1.out" "$pool_out.threaded.out"; then
-        echo "verify: sim and threaded client transports rendered different reports" >&2
-        diff "$pool_out.sim1.out" "$pool_out.threaded.out" | head -20 >&2
+    if ! cmp -s "$pool_out.default.out" "$pool_out.sim1.out"; then
+        echo "verify: default and sim client transports rendered different reports" >&2
+        diff "$pool_out.default.out" "$pool_out.sim1.out" | head -20 >&2
         return 1
     fi
     rm -f "$pool_out.sim1.out" "$pool_out.sim1.err" \
         "$pool_out.sim2.out" "$pool_out.sim2.err" \
-        "$pool_out.epoll.out" "$pool_out.threaded.out"
+        "$pool_out.epoll.out" "$pool_out.default.out"
     # The query gate again under the deterministic sim reactor and under
     # a forced epoll sweep to 256 connections. Each run asserts
     # byte-identical streams internally (including 256-conn == 1-conn);

@@ -107,19 +107,19 @@ fn eight_worker_chaos_crawl_is_deterministic() {
 #[test]
 fn crawl_outcome_matrix_across_clients_workers_and_connections() {
     // The event-driven-client acceptance matrix: the merged corpus and
-    // drop-out ledger are byte-identical across client transports
-    // {threaded, epoll, sim}, worker counts {1, 4, 8} and
-    // connections-per-worker {1, 64, 256}, calm and chaotic — and at a
-    // fixed topology the *entire* PoolOutcome (summed resilience
-    // counters included) matches between the blocking client and the
-    // non-blocking lanes on the same endpoint.
+    // drop-out ledger are byte-identical to one blocking connection's
+    // sequential `crawl_all` across client substrates {epoll, sim},
+    // worker counts {1, 4, 8} and connections-per-worker {1, 64, 256},
+    // calm and chaotic — and at a fixed topology the *entire*
+    // PoolOutcome (summed resilience counters included) matches between
+    // the epoll and sim lanes.
     use gaugenn::playstore::server::ServerOptions;
-    use gaugenn::playstore::{nonblocking_tcp_available, ReactorMode};
+    use gaugenn::playstore::ReactorMode;
 
     // The chaos plan keeps per-(connection, route) fault budgets inside
     // the server, so every matrix cell crawls a freshly started store —
     // same corpus seed, same chaos seed, untouched budgets.
-    let crawl = |sim: bool, chaos: bool, client: ReactorMode, workers: usize, conns: usize| {
+    let start = |substrate: ReactorMode, chaos: bool| {
         let plan = chaos.then(|| {
             FaultPlan::new(FaultPlanConfig {
                 seed: 0xD15EA5E,
@@ -127,84 +127,65 @@ fn crawl_outcome_matrix_across_clients_workers_and_connections() {
                 ..FaultPlanConfig::default()
             })
         });
-        let server = StoreServer::start_with(
+        StoreServer::start_with(
             generate(CorpusScale::Tiny, Snapshot::Y2021, 7),
             ServerOptions {
                 chaos: plan,
-                reactor: sim.then_some(ReactorMode::Sim),
+                reactor: Some(substrate),
                 ..ServerOptions::default()
             },
         )
-        .unwrap();
-        CrawlPool::new(CrawlPoolConfig {
-            workers,
-            connections_per_worker: conns,
-            reactor: Some(client),
-            ..CrawlPoolConfig::default()
-        })
-        .crawl_at(&server.endpoint())
         .unwrap()
     };
 
     for chaos in [false, true] {
-        let reference = crawl(false, chaos, ReactorMode::Threaded, 1, 1).outcome;
+        let reference = Crawler::builder_at(start(ReactorMode::Epoll, chaos).endpoint())
+            .build()
+            .unwrap()
+            .crawl_all()
+            .unwrap();
         assert_eq!(reference.apps.len(), 52, "every app recovered (chaos={chaos})");
         assert!(reference.dropouts.is_empty(), "{:?}", reference.dropouts);
 
-        for (sim, clients) in [
-            (false, [ReactorMode::Threaded, ReactorMode::Epoll]),
-            (true, [ReactorMode::Threaded, ReactorMode::Sim]),
-        ] {
-            // At a fixed topology the blocking and non-blocking clients
-            // issue identical per-connection request schedules, so the
-            // whole outcome (stats included) must match the threaded
-            // run on the same endpoint.
-            let threaded_fixed = crawl(sim, chaos, ReactorMode::Threaded, 4, 64);
-            assert_eq!(threaded_fixed.peak_in_flight, 1, "blocking lanes run one at a time");
-            for client in clients {
-                let fixed = crawl(sim, chaos, client, 4, 64);
+        let mut fixed = Vec::new();
+        for substrate in [ReactorMode::Epoll, ReactorMode::Sim] {
+            for (workers, conns) in [(1usize, 1usize), (4, 64), (8, 256)] {
+                let server = start(substrate, chaos);
+                let pooled = CrawlPool::new(CrawlPoolConfig {
+                    workers,
+                    connections_per_worker: conns,
+                    ..CrawlPoolConfig::default()
+                })
+                .crawl_at(&server.endpoint())
+                .unwrap();
+                // The lanes run on whatever loop the server runs (sim
+                // where a host has no epoll).
+                assert_eq!(pooled.reactor, server.mode(), "client follows the endpoint");
                 assert_eq!(
-                    fixed.outcome, threaded_fixed.outcome,
-                    "client {client:?} diverged from the blocking baseline (chaos={chaos})"
+                    pooled.outcome.apps, reference.apps,
+                    "{substrate:?} w={workers} c={conns} chaos={chaos}: corpus diverged"
                 );
-                if !matches!(fixed.reactor, ReactorMode::Threaded) {
-                    // The non-blocking client really multiplexes: lanes
-                    // are category-granular, so the tiny corpus caps the
-                    // peak at categories-per-worker — still well past the
-                    // blocking client's ceiling of one. (On hosts without
-                    // epoll the pool resolves back to Threaded and this
-                    // arm is skipped.)
+                assert_eq!(
+                    pooled.outcome.dropouts, reference.dropouts,
+                    "{substrate:?} w={workers} c={conns} chaos={chaos}: ledger diverged"
+                );
+                if (workers, conns) == (4, 64) {
+                    // The client really multiplexes: lanes are
+                    // category-granular, so the tiny corpus caps the peak
+                    // at categories-per-worker — still well past one.
                     assert!(
-                        fixed.peak_in_flight > 1,
-                        "client {client:?} lanes must overlap, got peak {}",
-                        fixed.peak_in_flight
+                        pooled.peak_in_flight > 1,
+                        "{substrate:?} lanes must overlap, got peak {}",
+                        pooled.peak_in_flight
                     );
+                    fixed.push(pooled.outcome);
                 }
-                for (workers, conns) in [(1usize, 1usize), (4, 64), (8, 256)] {
-                    let pooled = if (workers, conns) == (4, 64) {
-                        continue; // already crawled as `fixed` above
-                    } else {
-                        crawl(sim, chaos, client, workers, conns)
-                    };
-                    assert_eq!(
-                        pooled.outcome.apps, reference.apps,
-                        "client {client:?} w={workers} c={conns} chaos={chaos}: corpus diverged"
-                    );
-                    assert_eq!(
-                        pooled.outcome.dropouts, reference.dropouts,
-                        "client {client:?} w={workers} c={conns} chaos={chaos}: ledger diverged"
-                    );
-                }
-                assert_eq!(
-                    fixed.outcome.apps, reference.apps,
-                    "client {client:?} w=4 c=64 chaos={chaos}: corpus diverged"
-                );
             }
         }
-        assert!(
-            nonblocking_tcp_available() || cfg!(not(target_os = "linux")),
-            "linux hosts must drive non-blocking TCP lanes"
-        );
+        // At a fixed topology both substrates issue identical
+        // per-connection request schedules, so the whole outcome (stats
+        // included) must match.
+        assert_eq!(fixed[0], fixed[1], "epoll and sim lanes diverged (chaos={chaos})");
     }
 }
 

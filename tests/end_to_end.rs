@@ -158,7 +158,7 @@ fn query_routes_serve_the_pipelines_index_under_chaos() {
         },
     )
     .expect("server");
-    let mut client = QueryClient::builder(server.addr()).build().expect("client");
+    let mut client = QueryClient::builder_at(server.endpoint()).build().expect("client");
 
     // Wire answers must agree with the in-process index and the analysed
     // corpus, ranked FLOPs-descending (the determinism contract).

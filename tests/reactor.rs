@@ -7,7 +7,7 @@
 //!    reactor's FNV digest over every delivered `(round, token,
 //!    interest)` tuple. Same seed ⇒ same digest and byte-identical
 //!    responses.
-//! 2. **Loop equivalence** — threaded, epoll and sim serving loops all
+//! 2. **Loop equivalence** — the epoll and sim serving loops both
 //!    reduce a request to the same [`Served`] verdict, so response
 //!    streams (calm or chaotic) are byte-identical across loops.
 //! 3. **Torn-write robustness** — the reactor's incremental parser must
@@ -197,23 +197,25 @@ fn chaos_plan() -> FaultPlan {
 }
 
 #[test]
-fn all_three_loops_serve_identical_bytes_calm_and_chaotic() {
-    let modes = [ReactorMode::Threaded, ReactorMode::Epoll, ReactorMode::Sim];
-    let calm: Vec<_> = modes
-        .iter()
-        .map(|&m| query_workload(&start(m, 1, None)))
-        .collect();
-    assert_eq!(calm[0], calm[1], "threaded vs epoll diverged (calm)");
-    assert_eq!(calm[0], calm[2], "threaded vs sim diverged (calm)");
+fn epoll_and_sim_loops_serve_identical_bytes_calm_and_chaotic() {
+    let run = |mode: ReactorMode, chaos: Option<FaultPlan>| {
+        let server = start(mode, 1, chaos);
+        if cfg!(target_os = "linux") {
+            assert_eq!(server.mode(), mode, "Linux hosts serve both loops");
+        }
+        query_workload(&server)
+    };
+    let calm = run(ReactorMode::Epoll, None);
+    assert_eq!(calm, run(ReactorMode::Sim, None), "epoll vs sim diverged (calm)");
 
-    let stormy: Vec<_> = modes
-        .iter()
-        .map(|&m| query_workload(&start(m, 1, Some(chaos_plan()))))
-        .collect();
-    assert_eq!(stormy[0], stormy[1], "threaded vs epoll diverged (chaos)");
-    assert_eq!(stormy[0], stormy[2], "threaded vs sim diverged (chaos)");
+    let stormy = run(ReactorMode::Epoll, Some(chaos_plan()));
     assert_eq!(
-        calm[0], stormy[0],
+        stormy,
+        run(ReactorMode::Sim, Some(chaos_plan())),
+        "epoll vs sim diverged (chaos)"
+    );
+    assert_eq!(
+        calm, stormy,
         "chaos must only cost retries, never change response bytes"
     );
 }
@@ -239,10 +241,9 @@ fn sim_pipeline_report_matches_the_other_loops() {
             .expect("pipeline")
             .render_text()
     };
-    let baseline = run(ReactorMode::Threaded, false);
-    assert_eq!(baseline, run(ReactorMode::Epoll, false), "epoll calm");
+    let baseline = run(ReactorMode::Epoll, false);
     assert_eq!(baseline, run(ReactorMode::Sim, false), "sim calm");
-    let chaotic = run(ReactorMode::Threaded, true);
+    let chaotic = run(ReactorMode::Epoll, true);
     assert_eq!(chaotic, run(ReactorMode::Sim, true), "sim chaos");
     assert_eq!(
         baseline, chaotic,
